@@ -9,8 +9,7 @@ hypotheses, 2 usage or specification errors, 3 divergent computation.
 
 Numbers in JSON are rounded to 12 significant digits; CSV uses the shortest
 round-trip representation. Reruns with identical flags produce byte-identical
-output: converge cells may be computed concurrently but rows are sorted by
-(sample_size, seed) before writing.
+output; converge rows are sorted by (sample_size, seed).
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -53,6 +51,7 @@ from .sampling import derive_seed, draw_design
 from .weights import parse_weight, power_weight
 
 _DESIGNS = {"single": SINGLE, "srs": SRS, "minrssu": MIN_RSSU, "maxrssu": MAX_RSSU}
+_SAMPLING_DESIGNS = ["srs", "minrssu", "maxrssu"]
 _VARIANTS = {"past": PAST, "residual": RESIDUAL}
 
 
@@ -191,8 +190,6 @@ def _cmd_converge(args) -> int:
     w = power_weight(args.m)
     variant = _VARIANTS[args.variant]
     design = _DESIGNS[args.design]
-    if design == SINGLE:
-        raise ParseError("converge needs a sampling design: srs, minrssu, or maxrssu")
     sizes = []
     for token in args.sizes.split(","):
         token = token.strip()
@@ -209,21 +206,12 @@ def _cmd_converge(args) -> int:
     truth = gw_cumulative(d, w, variant)
     cfg = EstimatorConfig(variant=variant, m=args.m, style="step")
 
-    def cell(size_and_seed):
-        size, seed = size_and_seed
-        sample = draw_design(d, design, size, seed)
-        value = run_estimator(sample, cfg)
+    lines = ["sample_size,design,variant,estimate,truth,abs_err,rel_err,seed"]
+    cells = sorted((size, derive_seed(args.seed, r)) for size in sizes for r in range(args.seeds))
+    for size, seed in cells:
+        value = run_estimator(draw_design(d, design, size, seed), cfg)
         abs_err = abs(value - truth)
         rel_err = abs_err / abs(truth) if truth != 0.0 else math.nan
-        return size, seed, value, abs_err, rel_err
-
-    cells = [(size, derive_seed(args.seed, r)) for size in sizes for r in range(args.seeds)]
-    with ThreadPoolExecutor(max_workers=min(8, len(cells))) as pool:
-        rows = list(pool.map(cell, cells))
-    rows.sort(key=lambda row: (row[0], row[1]))
-
-    lines = ["sample_size,design,variant,estimate,truth,abs_err,rel_err,seed"]
-    for size, seed, value, abs_err, rel_err in rows:
         lines.append(
             f"{size},{args.design},{args.variant},{value!r},{truth!r},{abs_err!r},{rel_err!r},{seed}"
         )
@@ -249,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser("simulate", help="draw one seeded sample as CSV")
     simulate.add_argument("--dist", required=True)
-    simulate.add_argument("--design", default="srs", choices=["srs", "minrssu", "maxrssu"])
+    simulate.add_argument("--design", default="srs", choices=_SAMPLING_DESIGNS)
     simulate.add_argument("--n", type=int, required=True)
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument(
@@ -279,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     converge.add_argument("--dist", required=True)
     converge.add_argument("--m", type=float, default=1.0)
     converge.add_argument("--variant", required=True, choices=sorted(_VARIANTS))
-    converge.add_argument("--design", default="srs", choices=sorted(_DESIGNS))
+    converge.add_argument("--design", default="srs", choices=_SAMPLING_DESIGNS)
     converge.add_argument("--sizes", required=True, help="comma-separated sample sizes")
     converge.add_argument("--seeds", type=int, required=True, help="number of replicates per size")
     converge.add_argument("--seed", type=int, default=0, help="base seed for replicate derivation")

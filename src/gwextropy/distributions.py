@@ -34,7 +34,8 @@ class Distribution:
 
     ``cdf``, ``pdf`` and ``quantile`` accept scalars or numpy arrays.
     ``pdf_at_quantile`` is the closed form for f(F^{-1}(u)) when the family
-    admits one, else None. ``support_upper`` may be +inf.
+    admits one; given as None, it becomes pdf(quantile(u)). ``support_upper``
+    may be +inf.
     """
 
     family_tag: str
@@ -46,6 +47,11 @@ class Distribution:
     pdf_at_quantile: Callable | None = None
     params: tuple = ()
     label: str = ""
+
+    def __post_init__(self):
+        if self.pdf_at_quantile is None:
+            pdf, q = self.pdf, self.quantile
+            object.__setattr__(self, "pdf_at_quantile", lambda u: pdf(q(u)))
 
 
 @dataclass(frozen=True)
@@ -89,10 +95,7 @@ def quantile(d: Distribution, u):
 
 def pdf_at_quantile(d: Distribution, u):
     """f(F^{-1}(u)), which is the closed form when registered, else pdf(quantile(u))."""
-    arr = _validated_u(u)
-    if d.pdf_at_quantile is not None:
-        return _match_input(d.pdf_at_quantile(arr), u)
-    return _match_input(d.pdf(d.quantile(arr)), u)
+    return _match_input(d.pdf_at_quantile(_validated_u(u)), u)
 
 
 def uniform(a: float = 0.0, b: float = 1.0) -> Distribution:
@@ -306,9 +309,7 @@ def transform(d: Distribution, t: Transformation) -> Distribution:
 
     def pdf_at_quantile_y(u):
         u_arr = np.asarray(u, float)
-        x = base_quantile(u_arr)
-        base_density = base_pdf_at_q(u_arr) if base_pdf_at_q is not None else d.pdf(x)
-        return base_density / np.asarray(t.psi_prime(x), float)
+        return base_pdf_at_q(u_arr) / np.asarray(t.psi_prime(base_quantile(u_arr)), float)
 
     return Distribution(
         family_tag=TRANSFORMED,

@@ -24,9 +24,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import BandwidthError, DomainError, InsufficientDataError
+from .measures import PAST, RESIDUAL
 
-PAST = "past"
-RESIDUAL = "residual"
 STEP = "step"
 KERNEL = "kernel"
 GAUSSIAN = "gaussian"
@@ -72,27 +71,25 @@ def _observations(sample) -> np.ndarray:
     return arr
 
 
-def _cell_sum(values: np.ndarray, m: float, squared_cdf_weights: np.ndarray) -> float:
+def _plug_in(
+    values: np.ndarray, cdf: np.ndarray, cfg: EstimatorConfig, include_head: bool
+) -> float:
+    """Cell sum of the shared skeleton, given the CDF value of each cell."""
+    m = cfg.m
+    weights = cdf**2 if cfg.variant == PAST else (1.0 - cdf) ** 2
     powers = values ** (m + 1.0)
     diffs = powers[1:] - powers[:-1]
-    return float(-(diffs @ squared_cdf_weights) / (2.0 * (m + 1.0)))
-
-
-def _head_term(values: np.ndarray, m: float) -> float:
-    return float(-(values[0] ** (m + 1.0)) / (2.0 * (m + 1.0)))
+    total = float(-(diffs @ weights) / (2.0 * (m + 1.0)))
+    if include_head and cfg.variant == RESIDUAL:
+        total += float(-(values[0] ** (m + 1.0)) / (2.0 * (m + 1.0)))
+    return total
 
 
 def step_estimate(sample, cfg: EstimatorConfig, include_head: bool = False) -> float:
     """Plug-in estimate using the empirical CDF."""
     values = _observations(sample)
     n = values.size
-    i = np.arange(1, n, dtype=float)
-    cdf = i / n
-    weights = cdf**2 if cfg.variant == PAST else (1.0 - cdf) ** 2
-    total = _cell_sum(values, cfg.m, weights)
-    if include_head and cfg.variant == RESIDUAL:
-        total += _head_term(values, cfg.m)
-    return total
+    return _plug_in(values, np.arange(1, n, dtype=float) / n, cfg, include_head)
 
 
 def _integrated_kernel(kernel: str):
@@ -147,12 +144,7 @@ def kernel_estimate(sample, cfg: EstimatorConfig, include_head: bool = False) ->
     values = _observations(sample)
     h = resolve_bandwidth(values, cfg)
     midpoints = 0.5 * (values[1:] + values[:-1])
-    cdf = smoothed_cdf(values, cfg.kernel, h, midpoints)
-    weights = cdf**2 if cfg.variant == PAST else (1.0 - cdf) ** 2
-    total = _cell_sum(values, cfg.m, weights)
-    if include_head and cfg.variant == RESIDUAL:
-        total += _head_term(values, cfg.m)
-    return total
+    return _plug_in(values, smoothed_cdf(values, cfg.kernel, h, midpoints), cfg, include_head)
 
 
 def estimate(sample, cfg: EstimatorConfig, include_head: bool = False) -> float:

@@ -23,7 +23,7 @@ from typing import Callable
 
 from .distributions import EXPONENTIAL, POWER_SURVIVAL, UNIFORM, Distribution
 from .errors import DivergenceError, DomainError
-from .quadrature import IntegrationResult, gamma_beta, integrate_unit_interval
+from .quadrature import DEFAULT_REL_TOL, IntegrationResult, gamma_beta, integrate_unit_interval
 from .weights import POWER, WeightFunction, eval_weight
 
 PAST = "past"
@@ -102,8 +102,6 @@ class MeasureReport:
 def make_integrand(d: Distribution, w: WeightFunction, kind: IntegrandKind) -> Callable:
     """Scalar integrand over u in (0,1) for the requested kind."""
     density = d.pdf_at_quantile
-    if density is None:
-        density = lambda u: d.pdf(d.quantile(u))  # noqa: E731
 
     if kind.kind == DELTA_GWJ:
 
@@ -112,14 +110,9 @@ def make_integrand(d: Distribution, w: WeightFunction, kind: IntegrandKind) -> C
 
         return integrand
 
-    if kind.kind == LAMBDA:
-        exponent, survival_side = 2, False
-    elif kind.kind == DELTA:
-        exponent, survival_side = 2, True
-    elif kind.kind == PSI_I:
-        exponent, survival_side = 2 * kind.order_index, False
-    else:
-        exponent, survival_side = 2 * kind.order_index, True
+    # Lambda and Delta are the i = 1 members of Psi_i and Phi_i.
+    exponent = 2 * (kind.order_index or 1)
+    survival_side = kind.kind in (DELTA, PHI_I)
 
     def integrand(u: float) -> float:
         base = (1.0 - u) if survival_side else u
@@ -128,93 +121,78 @@ def make_integrand(d: Distribution, w: WeightFunction, kind: IntegrandKind) -> C
     return integrand
 
 
-def _expectation(d: Distribution, w: WeightFunction, kind: IntegrandKind) -> IntegrationResult:
-    return integrate_unit_interval(make_integrand(d, w, kind))
-
-
-def _require_converged(
-    res: IntegrationResult, variant: str, factor_index: int | None = None
+def _factor(
+    d: Distribution, w: WeightFunction, kind: IntegrandKind, variant: str
 ) -> IntegrationResult:
+    """One u-space expectation; an unconverged integral is a divergence."""
+    res = integrate_unit_interval(make_integrand(d, w, kind))
     if not res.converged:
-        where = "" if factor_index is None else f" (factor i={factor_index})"
+        i = kind.order_index
+        where = "" if i is None else f" (factor i={i})"
         raise DivergenceError(
             f"quadrature did not converge for the {variant} integrand{where}; "
             f"error estimate {res.abs_error_estimate:.3e} after {res.subdivisions} subdivisions",
             variant=variant,
-            factor_index=factor_index,
+            factor_index=i,
             error_estimate=res.abs_error_estimate,
         )
     return res
 
 
-def _reject_divergent_past(d: Distribution, w: WeightFunction) -> None:
-    # u -> 1 sends Q(u) to the upper endpoint; with an unbounded power weight
-    # the past integrands grow like w(Q)/f(Q) and the integral is infinite.
-    if w.family_tag == POWER and not math.isfinite(d.support_upper):
-        raise DivergenceError(
-            "past-variant integral diverges: power weight with unbounded support "
-            f"({d.label or d.family_tag})",
-            variant=PAST,
-        )
-
-
 def gwj(d: Distribution, w: WeightFunction) -> float:
     """Weighted extropy of the density: -1/2 * int w(Q(u)) f(Q(u)) du."""
-    res = _require_converged(_expectation(d, w, IntegrandKind(DELTA_GWJ)), PLAIN)
-    return -0.5 * res.value
+    return measure_report(d, w, MeasureSpec(PLAIN)).value
+
 
 def gw_cumulative(d: Distribution, w: WeightFunction, variant: str) -> float:
     """Weighted cumulative extropy, past (-1/2 E[Lambda]) or residual (-1/2 E[Delta])."""
     if variant not in (PAST, RESIDUAL):
         raise DomainError(f"variant must be past or residual, got {variant!r}")
-    if variant == PAST:
-        _reject_divergent_past(d, w)
-    kind = IntegrandKind(LAMBDA if variant == PAST else DELTA)
-    res = _require_converged(_expectation(d, w, kind), variant)
-    return -0.5 * res.value
+    return measure_report(d, w, MeasureSpec(variant)).value
 
 
 def measure_report(d: Distribution, w: WeightFunction, spec: MeasureSpec) -> MeasureReport:
     """Evaluate a measure and keep each factor's quadrature result.
 
-    The reported quadrature_error is the first-order propagation of the
-    per-factor error estimates through the product and the leading -1/2.
+    The value is -1/2 times one factor raised to n (single, SRS, plain) or
+    times the product of the n factors Psi_i or Phi_i (maxRSSU, minRSSU).
+    The reported quadrature_error bounds |value - exact| to first order. It
+    propagates each factor's error through the power or product and the -1/2;
+    a factor's error is the larger of the quadrature estimate, which can
+    undershoot on smooth integrands, and rel_tol * |factor|, the accuracy a
+    converged integral is certified to.
     """
+    if spec.variant == PAST and w.family_tag == POWER and not math.isfinite(d.support_upper):
+        # u -> 1 sends Q(u) to the upper endpoint; with an unbounded power
+        # weight the past integrands grow like w(Q)/f(Q) and the integral is
+        # infinite.
+        raise DivergenceError(
+            "past-variant integral diverges: power weight with unbounded support "
+            f"({d.label or d.family_tag})",
+            variant=PAST,
+        )
+    powered = spec.design in (SINGLE, SRS)
     if spec.variant == PLAIN:
-        res = _require_converged(_expectation(d, w, IntegrandKind(DELTA_GWJ)), PLAIN)
-        return MeasureReport(-0.5 * res.value, (res,), 0.5 * res.abs_error_estimate)
-
-    if spec.design in (SINGLE, SRS):
-        if spec.variant == PAST:
-            _reject_divergent_past(d, w)
-        kind = IntegrandKind(LAMBDA if spec.variant == PAST else DELTA)
-        res = _require_converged(_expectation(d, w, kind), spec.variant)
-        factor = res.value
-        value = -0.5 * factor**spec.n
-        error = 0.5 * spec.n * abs(factor) ** (spec.n - 1) * res.abs_error_estimate
-        return MeasureReport(value, (res,), error)
-
-    if spec.variant == PAST:
-        _reject_divergent_past(d, w)
-        kind_name = PSI_I
+        kinds = [IntegrandKind(DELTA_GWJ)]
+    elif powered:
+        kinds = [IntegrandKind(LAMBDA if spec.variant == PAST else DELTA)]
     else:
-        kind_name = PHI_I
-    factors = []
-    for i in range(1, spec.n + 1):
-        res = _expectation(d, w, IntegrandKind(kind_name, i))
-        _require_converged(res, spec.variant, factor_index=i)
-        factors.append(res)
-    product = 1.0
-    for res in factors:
-        product *= res.value
-    error = 0.0
-    for i, res in enumerate(factors):
-        rest = 1.0
-        for j, other in enumerate(factors):
-            if j != i:
-                rest *= abs(other.value)
-        error += res.abs_error_estimate * rest
-    return MeasureReport(-0.5 * product, tuple(factors), 0.5 * error)
+        kind_name = PSI_I if spec.variant == PAST else PHI_I
+        kinds = [IntegrandKind(kind_name, i) for i in range(1, spec.n + 1)]
+    factors = tuple(_factor(d, w, kind, spec.variant) for kind in kinds)
+
+    values = [res.value for res in factors]
+    errors = [max(res.abs_error_estimate, DEFAULT_REL_TOL * abs(res.value)) for res in factors]
+    if powered:
+        value = values[0] ** spec.n
+        error = 0.5 * spec.n * abs(values[0]) ** (spec.n - 1) * errors[0]
+    else:
+        value = math.prod(values)
+        error = 0.5 * sum(
+            err * math.prod(abs(v) for j, v in enumerate(values) if j != i)
+            for i, err in enumerate(errors)
+        )
+    return MeasureReport(-0.5 * value, factors, error)
 
 
 def gw_design_measure(d: Distribution, w: WeightFunction, spec: MeasureSpec) -> float:

@@ -49,7 +49,7 @@ from .measures import (
     gw_design_measure,
     measure_report,
 )
-from .weights import WeightFunction, eval_weight
+from .weights import DEFAULT_GRID_POINTS, WeightFunction, eval_weight
 
 TOLERANCE = 1e-9
 
@@ -85,9 +85,6 @@ THEOREM_IDS = (
     T6_MIN_MONO,
     T6_MAX_MONO,
 )
-
-_WEIGHT_GRID = 512
-
 
 @dataclass(frozen=True)
 class OrderVerdict:
@@ -311,14 +308,14 @@ def _x_range(*dists: Distribution) -> tuple[float, float]:
 
 
 def _weight_decreasing_check(w: WeightFunction, lo: float, hi: float) -> HypothesisCheck:
-    xs = np.linspace(lo, hi, _WEIGHT_GRID)
+    xs = np.linspace(lo, hi, DEFAULT_GRID_POINTS)
     values = eval_weight(w, xs)
     margin = -float(np.max(np.diff(values)))
     return HypothesisCheck(
         name=f"{w.label} weakly decreasing",
         passed=margin >= -TOLERANCE,
         margin=margin,
-        note=f"grid={_WEIGHT_GRID} on [{lo:g},{hi:g}]",
+        note=f"grid={DEFAULT_GRID_POINTS} on [{lo:g},{hi:g}]",
     )
 
 
@@ -327,10 +324,10 @@ def _weight_dominated_check(
 ) -> HypothesisCheck:
     if w1 is w2:
         return HypothesisCheck("w1 <= w2", True, 0.0, "w2 is w1")
-    xs = np.linspace(lo, hi, _WEIGHT_GRID)
+    xs = np.linspace(lo, hi, DEFAULT_GRID_POINTS)
     margin = float(np.min(eval_weight(w2, xs) - eval_weight(w1, xs)))
     return HypothesisCheck(
-        "w1 <= w2", margin >= -TOLERANCE, margin, f"grid={_WEIGHT_GRID} on [{lo:g},{hi:g}]"
+        "w1 <= w2", margin >= -TOLERANCE, margin, f"grid={DEFAULT_GRID_POINTS} on [{lo:g},{hi:g}]"
     )
 
 

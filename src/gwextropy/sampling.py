@@ -24,10 +24,8 @@ import numpy as np
 
 from .distributions import Distribution
 from .errors import DomainError
+from .measures import MAX_RSSU, MIN_RSSU, SRS
 
-SRS = "SRS"
-MIN_RSSU = "minRSSU"
-MAX_RSSU = "maxRSSU"
 DESIGNS = (SRS, MIN_RSSU, MAX_RSSU)
 
 _MASK64 = (1 << 64) - 1

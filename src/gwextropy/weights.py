@@ -133,12 +133,6 @@ def check_monotone_weight(
     return DECREASING
 
 
-def is_weakly_decreasing(w: WeightFunction, lo: float, hi: float, grid_points: int = DEFAULT_GRID_POINTS) -> bool:
-    """True when the grid shows no strict rise (flat weights qualify)."""
-    values = eval_weight(w, np.linspace(float(lo), float(hi), int(grid_points)))
-    return not bool(np.any(np.diff(values) > 0.0))
-
-
 def parse_weight(text: str) -> WeightFunction:
     """Parse ``power:m``, ``const:c``, or ``expdecay:a``."""
     text = text.strip()

@@ -40,6 +40,30 @@ def test_pdf_at_quantile_closed_forms():
     assert pdf_at_quantile(gx.power_survival(2.0), 0.75) == pytest.approx(1.0)
 
 
+def test_missing_density_at_quantile_is_composed():
+    base = gx.exponential(2.0)
+
+    def built(pdf_at_q):
+        return gx.Distribution(
+            base.family_tag, base.support_lower, base.support_upper,
+            base.cdf, base.pdf, base.quantile, pdf_at_q, base.params, "direct",
+        )
+
+    d = built(None)
+    composed = built(lambda u: base.pdf(base.quantile(u)))
+    u = np.linspace(0.01, 0.99, 25)
+    assert np.array_equal(pdf_at_quantile(d, u), base.pdf(base.quantile(u)))
+    assert pdf_at_quantile(d, 0.3) == float(base.pdf(base.quantile(0.3)))
+    assert_allclose(
+        pdf_at_quantile(transform(d, EXP_MINUS_ONE), u),
+        pdf_at_quantile(transform(base, EXP_MINUS_ONE), u),
+        rtol=1e-13,
+    )
+    w = gx.exp_decay_weight(0.5)
+    for spec in (gx.MeasureSpec("plain_extropy_weighted"), gx.MeasureSpec("residual", "minRSSU", 3)):
+        assert gx.measure_report(d, w, spec).value == gx.measure_report(composed, w, spec).value
+
+
 @pytest.mark.parametrize("d", ALL_FAMILIES, ids=lambda d: d.label)
 def test_cdf_quantile_round_trip(d):
     grid = np.linspace(0.01, 0.99, 25)

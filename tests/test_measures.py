@@ -183,3 +183,24 @@ def test_transformed_distribution_measures():
     # u-space oracle: -1/2 int u^2 (e^{2u} - e^u) du, antiderivatives by parts
     exact = -0.5 * (0.25 * math.e**2 - math.e + 7 / 4)
     assert_allclose(got, exact, rtol=1e-8)
+
+
+def test_wrappers_return_the_report_value():
+    w = gx.power_weight(1.0)
+    for d in (gx.uniform(), gx.power_survival(2.0), gx.exponential(0.5)):
+        assert gwj(d, w) == measure_report(d, w, MeasureSpec(PLAIN)).value
+        assert gw_cumulative(d, w, RESIDUAL) == measure_report(d, w, MeasureSpec(RESIDUAL)).value
+        for spec in (MeasureSpec(RESIDUAL, SRS, 3), MeasureSpec(RESIDUAL, MIN_RSSU, 3)):
+            assert gw_design_measure(d, w, spec) == measure_report(d, w, spec).value
+    with pytest.raises(DomainError):
+        gw_cumulative(gx.uniform(), w, PLAIN)
+
+
+@pytest.mark.parametrize(
+    "m, b", [(1.114908283726553, 0.6300532526610241), (1.0002102221354776, 2.669103623686228)]
+)
+def test_quadrature_error_bounds_registry_error(m, b):
+    # smooth powersurv factors on which the adaptive error estimate alone undershoots
+    d, w, spec = gx.power_survival(b), gx.power_weight(m), MeasureSpec(RESIDUAL, MIN_RSSU, 1)
+    report = measure_report(d, w, spec)
+    assert abs(report.value - closed_form(d, w, spec)) <= report.quadrature_error

@@ -23,7 +23,7 @@ from typing import Callable
 
 from .distributions import EXPONENTIAL, POWER_SURVIVAL, UNIFORM, Distribution
 from .errors import DivergenceError, DomainError
-from .quadrature import DEFAULT_REL_TOL, IntegrationResult, gamma_beta, integrate_unit_interval
+from .quadrature import DEFAULT_REL_TOL, IntegrationResult, beta, integrate_unit_interval
 from .weights import POWER, WeightFunction, eval_weight
 
 PAST = "past"
@@ -121,24 +121,6 @@ def make_integrand(d: Distribution, w: WeightFunction, kind: IntegrandKind) -> C
     return integrand
 
 
-def _factor(
-    d: Distribution, w: WeightFunction, kind: IntegrandKind, variant: str
-) -> IntegrationResult:
-    """One u-space expectation; an unconverged integral is a divergence."""
-    res = integrate_unit_interval(make_integrand(d, w, kind))
-    if not res.converged:
-        i = kind.order_index
-        where = "" if i is None else f" (factor i={i})"
-        raise DivergenceError(
-            f"quadrature did not converge for the {variant} integrand{where}; "
-            f"error estimate {res.abs_error_estimate:.3e} after {res.subdivisions} subdivisions",
-            variant=variant,
-            factor_index=i,
-            error_estimate=res.abs_error_estimate,
-        )
-    return res
-
-
 def gwj(d: Distribution, w: WeightFunction) -> float:
     """Weighted extropy of the density: -1/2 * int w(Q(u)) f(Q(u)) du."""
     return measure_report(d, w, MeasureSpec(PLAIN)).value
@@ -151,48 +133,86 @@ def gw_cumulative(d: Distribution, w: WeightFunction, variant: str) -> float:
     return measure_report(d, w, MeasureSpec(variant)).value
 
 
-def measure_report(d: Distribution, w: WeightFunction, spec: MeasureSpec) -> MeasureReport:
-    """Evaluate a measure and keep each factor's quadrature result.
+class _FactorSequence:
+    """Factors 1, 2, ... of one (distribution, weight, variant), integrated in
+    order on first use and kept: E[Psi_i] (past), E[Phi_i] (residual), or the
+    single E[w(Q) f(Q)] (plain).
 
-    The value is -1/2 times one factor raised to n (single, SRS, plain) or
-    times the product of the n factors Psi_i or Phi_i (maxRSSU, minRSSU).
-    The reported quadrature_error bounds |value - exact| to first order. It
-    propagates each factor's error through the power or product and the -1/2;
-    a factor's error is the larger of the quadrature estimate, which can
-    undershoot on smooth integrands, and rel_tol * |factor|, the accuracy a
-    converged integral is certified to.
+    The first factor that diverges ends the sequence. The past variant with a
+    power weight on an unbounded support diverges from factor 1 on: u -> 1
+    sends Q(u) to the upper endpoint, where the integrands grow like w(Q)/f(Q).
     """
-    if spec.variant == PAST and w.family_tag == POWER and not math.isfinite(d.support_upper):
-        # u -> 1 sends Q(u) to the upper endpoint; with an unbounded power
-        # weight the past integrands grow like w(Q)/f(Q) and the integral is
-        # infinite.
-        raise DivergenceError(
-            "past-variant integral diverges: power weight with unbounded support "
-            f"({d.label or d.family_tag})",
-            variant=PAST,
-        )
-    powered = spec.design in (SINGLE, SRS)
-    if spec.variant == PLAIN:
-        kinds = [IntegrandKind(DELTA_GWJ)]
-    elif powered:
-        kinds = [IntegrandKind(LAMBDA if spec.variant == PAST else DELTA)]
-    else:
-        kind_name = PSI_I if spec.variant == PAST else PHI_I
-        kinds = [IntegrandKind(kind_name, i) for i in range(1, spec.n + 1)]
-    factors = tuple(_factor(d, w, kind, spec.variant) for kind in kinds)
 
-    values = [res.value for res in factors]
-    errors = [max(res.abs_error_estimate, DEFAULT_REL_TOL * abs(res.value)) for res in factors]
-    if powered:
-        value = values[0] ** spec.n
-        error = 0.5 * spec.n * abs(values[0]) ** (spec.n - 1) * errors[0]
-    else:
-        value = math.prod(values)
-        error = 0.5 * sum(
-            err * math.prod(abs(v) for j, v in enumerate(values) if j != i)
-            for i, err in enumerate(errors)
+    def __init__(self, d: Distribution, w: WeightFunction, variant: str):
+        self.d, self.w, self.variant = d, w, variant
+        self.results: list[IntegrationResult] = []
+        self.unconverged: IntegrationResult | None = None
+        self.rejected = variant == PAST and w.family_tag == POWER and not math.isfinite(d.support_upper)
+
+    def _divergence(self, spec: MeasureSpec) -> DivergenceError:
+        if self.rejected:
+            return DivergenceError(
+                "past-variant integral diverges: power weight with unbounded support "
+                f"({self.d.label or self.d.family_tag})",
+                variant=PAST,
+            )
+        # Only the RSSU designs name the factor; the others read factor 1 alone.
+        i = len(self.results) + 1 if spec.design in (MIN_RSSU, MAX_RSSU) else None
+        where = "" if i is None else f" (factor i={i})"
+        res = self.unconverged
+        return DivergenceError(
+            f"quadrature did not converge for the {self.variant} integrand{where}; "
+            f"error estimate {res.abs_error_estimate:.3e} after {res.subdivisions} subdivisions",
+            variant=self.variant,
+            factor_index=i,
+            error_estimate=res.abs_error_estimate,
         )
-    return MeasureReport(-0.5 * value, factors, error)
+
+    def _factors(self, spec: MeasureSpec, count: int) -> tuple[IntegrationResult, ...]:
+        while len(self.results) < count:
+            if self.rejected or self.unconverged is not None:
+                raise self._divergence(spec)
+            if self.variant == PLAIN:
+                kind = IntegrandKind(DELTA_GWJ)
+            else:
+                kind = IntegrandKind(PSI_I if self.variant == PAST else PHI_I, len(self.results) + 1)
+            res = integrate_unit_interval(make_integrand(self.d, self.w, kind))
+            if res.converged:
+                self.results.append(res)
+            else:
+                self.unconverged = res
+        return tuple(self.results[:count])
+
+    def report(self, spec: MeasureSpec) -> MeasureReport:
+        """The measure of spec, from factor 1 (single, SRS, plain) or factors 1..n (RSSU).
+
+        The value is -1/2 times factor 1 raised to n, or times the product of
+        factors 1..n. The reported quadrature_error bounds |value - exact| to
+        first order. It propagates each factor's error through the power or
+        product and the -1/2; a factor's error is the larger of the quadrature
+        estimate, which can undershoot on smooth integrands, and
+        DEFAULT_REL_TOL * |factor|, the accuracy a converged integral is
+        certified to.
+        """
+        powered = spec.design in (SINGLE, SRS)
+        factors = self._factors(spec, 1 if powered else spec.n)
+        values = [res.value for res in factors]
+        errors = [max(res.abs_error_estimate, DEFAULT_REL_TOL * abs(res.value)) for res in factors]
+        if powered:
+            value = values[0] ** spec.n
+            error = 0.5 * spec.n * abs(values[0]) ** (spec.n - 1) * errors[0]
+        else:
+            value = math.prod(values)
+            error = 0.5 * sum(
+                err * math.prod(abs(v) for j, v in enumerate(values) if j != i)
+                for i, err in enumerate(errors)
+            )
+        return MeasureReport(-0.5 * value, factors, error)
+
+
+def measure_report(d: Distribution, w: WeightFunction, spec: MeasureSpec) -> MeasureReport:
+    """Evaluate a measure and keep each factor's quadrature result."""
+    return _FactorSequence(d, w, spec.variant).report(spec)
 
 
 def gw_design_measure(d: Distribution, w: WeightFunction, spec: MeasureSpec) -> float:
@@ -229,21 +249,21 @@ def closed_form(d: Distribution, w: WeightFunction, spec: MeasureSpec) -> float 
                 product *= 1.0 / (2.0 * i + m + 1.0)
             return -0.5 * product
         if design == MIN_RSSU:
-            product = gamma_beta("gamma", m + 1.0) ** n
+            product = math.gamma(m + 1.0) ** n
             for i in range(1, n + 1):
-                product *= gamma_beta("gamma", 2.0 * i + 1.0) / gamma_beta("gamma", 2.0 * i + m + 2.0)
+                product *= math.gamma(2.0 * i + 1.0) / math.gamma(2.0 * i + m + 2.0)
             return -0.5 * product
 
     if d.family_tag == EXPONENTIAL and variant == RESIDUAL and design == MIN_RSSU:
         (rate,) = d.params
-        scale = gamma_beta("gamma", m + 1.0) / (2.0 * rate) ** (m + 1.0)
+        scale = math.gamma(m + 1.0) / (2.0 * rate) ** (m + 1.0)
         return -0.5 * scale**n * (1.0 / math.factorial(n)) ** (m + 1.0)
 
     if d.family_tag == POWER_SURVIVAL and variant == RESIDUAL and design == MIN_RSSU:
         (b,) = d.params
         product = 1.0
         for i in range(1, n + 1):
-            product *= gamma_beta("beta", m + 1.0, 2.0 * i * b + 1.0)
+            product *= beta(m + 1.0, 2.0 * i * b + 1.0)
         return -0.5 * product
 
     return None

@@ -46,10 +46,9 @@ from .measures import (
     SINGLE,
     SRS,
     MeasureSpec,
-    gw_design_measure,
-    measure_report,
+    _FactorSequence,
 )
-from .weights import DEFAULT_GRID_POINTS, WeightFunction, eval_weight
+from .weights import DEFAULT_GRID_POINTS, WeightFunction, _on_grid, eval_weight
 
 TOLERANCE = 1e-9
 
@@ -256,9 +255,13 @@ def check_lemma1(dX: Distribution, dY: Distribution, grid_points: int = 64) -> L
     )
 
 
-def _measure_extended(d: Distribution, w: WeightFunction, spec: MeasureSpec) -> float:
+def _sequence(sequences: dict, d: Distribution, w: WeightFunction, variant: str) -> _FactorSequence:
+    return sequences.setdefault((d, w, variant), _FactorSequence(d, w, variant))
+
+
+def _measure_extended(sequences: dict, d: Distribution, w: WeightFunction, spec: MeasureSpec) -> float:
     try:
-        return gw_design_measure(d, w, spec)
+        return _sequence(sequences, d, w, spec.variant).report(spec).value
     except DivergenceError:
         return -math.inf
 
@@ -308,9 +311,7 @@ def _x_range(*dists: Distribution) -> tuple[float, float]:
 
 
 def _weight_decreasing_check(w: WeightFunction, lo: float, hi: float) -> HypothesisCheck:
-    xs = np.linspace(lo, hi, DEFAULT_GRID_POINTS)
-    values = eval_weight(w, xs)
-    margin = -float(np.max(np.diff(values)))
+    margin = -float(np.max(np.diff(_on_grid(w, lo, hi))))
     return HypothesisCheck(
         name=f"{w.label} weakly decreasing",
         passed=margin >= -TOLERANCE,
@@ -324,14 +325,13 @@ def _weight_dominated_check(
 ) -> HypothesisCheck:
     if w1 is w2:
         return HypothesisCheck("w1 <= w2", True, 0.0, "w2 is w1")
-    xs = np.linspace(lo, hi, DEFAULT_GRID_POINTS)
-    margin = float(np.min(eval_weight(w2, xs) - eval_weight(w1, xs)))
+    margin = float(np.min(_on_grid(w2, lo, hi) - _on_grid(w1, lo, hi)))
     return HypothesisCheck(
         "w1 <= w2", margin >= -TOLERANCE, margin, f"grid={DEFAULT_GRID_POINTS} on [{lo:g},{hi:g}]"
     )
 
 
-def _comparison_reports(case: TheoremCase) -> list[TheoremReport]:
+def _comparison_reports(case: TheoremCase, sequences: dict) -> list[TheoremReport]:
     dX, dY = case.dX, case.dY
     w1 = case.w1
     w2 = case.w2 if case.w2 is not None else case.w1
@@ -361,8 +361,8 @@ def _comparison_reports(case: TheoremCase) -> list[TheoremReport]:
     )
 
     def report(theorem_id: str, spec: MeasureSpec, n_label: str) -> TheoremReport:
-        lhs = _measure_extended(dX, w1, spec)
-        rhs = _measure_extended(dY, w2, spec)
+        lhs = _measure_extended(sequences, dX, w1, spec)
+        rhs = _measure_extended(sequences, dY, w2, spec)
         margin, margin_note = _claim_margin(lhs, rhs)
         subject = f"X={dX.label} vs Y={dY.label}, w1={w1.label}, w2={w2.label}{n_label}"
         note = "; ".join(part for part in (base_note, margin_note) if part)
@@ -402,7 +402,7 @@ def _psi_condition_check(
     )
 
 
-def _psi_reports(case: TheoremCase) -> list[TheoremReport]:
+def _psi_reports(case: TheoremCase, sequences: dict) -> list[TheoremReport]:
     dX, t, w = case.dX, case.transformation, case.w1
     try:
         dY = transform(dX, t)
@@ -430,8 +430,8 @@ def _psi_reports(case: TheoremCase) -> list[TheoremReport]:
             if side is None:
                 reports.append(_finish(theorem_id, subject, hypotheses, math.nan))
                 continue
-            mx = _measure_extended(dX, w, spec)
-            my = _measure_extended(dY, w, spec)
+            mx = _measure_extended(sequences, dX, w, spec)
+            my = _measure_extended(sequences, dY, w, spec)
             if side == "ge":
                 margin, note = _claim_margin(mx, my)
             else:
@@ -440,7 +440,7 @@ def _psi_reports(case: TheoremCase) -> list[TheoremReport]:
     return reports
 
 
-def _dominance_reports(case: TheoremCase) -> list[TheoremReport]:
+def _dominance_reports(case: TheoremCase, sequences: dict) -> list[TheoremReport]:
     dX, w = case.dX, case.w1
     reports = []
     for n in case.n_values:
@@ -450,8 +450,8 @@ def _dominance_reports(case: TheoremCase) -> list[TheoremReport]:
             (T4_MAX_SRS, PAST, MAX_RSSU),
             (T4_MIN_SRS, RESIDUAL, MIN_RSSU),
         ):
-            lhs = _measure_extended(dX, w, MeasureSpec(variant, design, n))
-            rhs = _measure_extended(dX, w, MeasureSpec(variant, SRS, n))
+            lhs = _measure_extended(sequences, dX, w, MeasureSpec(variant, design, n))
+            rhs = _measure_extended(sequences, dX, w, MeasureSpec(variant, SRS, n))
             margin, note = _claim_margin(lhs, rhs)
             subject = f"X={dX.label}, w={w.label}, n={n}"
             reports.append(
@@ -460,7 +460,7 @@ def _dominance_reports(case: TheoremCase) -> list[TheoremReport]:
     return reports
 
 
-def _monotone_reports(case: TheoremCase) -> list[TheoremReport]:
+def _monotone_reports(case: TheoremCase, sequences: dict) -> list[TheoremReport]:
     dX, w = case.dX, case.w1
     u = _interior_grid(case.grid_points)
     ratio = eval_weight(w, np.asarray(quantile(dX, u), float)) / np.asarray(
@@ -485,8 +485,9 @@ def _monotone_reports(case: TheoremCase) -> list[TheoremReport]:
                 _finish(theorem_id, subject, [ratio_check], math.inf, "single n; nothing to compare")
             )
             continue
+        sequence = _sequence(sequences, dX, w, variant)
         try:
-            top = measure_report(dX, w, MeasureSpec(variant, design, n_hi))
+            top = sequence.report(MeasureSpec(variant, design, n_hi))
         except DivergenceError:
             reports.append(
                 _finish(
@@ -499,11 +500,7 @@ def _monotone_reports(case: TheoremCase) -> list[TheoremReport]:
             )
             continue
         factors = [r.value for r in top.factor_results]
-        measures = {}
-        running = 1.0
-        for i, value in enumerate(factors, start=1):
-            running *= value
-            measures[i] = -0.5 * running
+        measures = {n: sequence.report(MeasureSpec(variant, design, n)).value for n in range(n_lo, n_hi + 1)}
         margins = []
         for n in range(n_lo, n_hi):
             margins.append(measures[n + 1] - measures[n])
@@ -518,13 +515,16 @@ def run_theorem_suite(cases=None) -> list[TheoremReport]:
     if cases is None:
         cases = default_suite()
     reports: list[TheoremReport] = []
+    # One factor sequence per (distribution, weight, variant): each factor is
+    # integrated once per run, whichever reports need it.
+    sequences: dict = {}
     for case in cases:
         if case.dY is not None:
-            reports.extend(_comparison_reports(case))
+            reports.extend(_comparison_reports(case, sequences))
         if case.transformation is not None:
-            reports.extend(_psi_reports(case))
-        reports.extend(_dominance_reports(case))
-        reports.extend(_monotone_reports(case))
+            reports.extend(_psi_reports(case, sequences))
+        reports.extend(_dominance_reports(case, sequences))
+        reports.extend(_monotone_reports(case, sequences))
     return reports
 
 

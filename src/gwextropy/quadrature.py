@@ -1,4 +1,4 @@
-"""Adaptive quadrature over (0,1) and the gamma/beta special functions.
+"""Adaptive quadrature over (0,1) and the beta function.
 
 All measure integrals in this library live on the open unit interval after the
 substitution u = F(x); integrands may blow up at either endpoint, so the
@@ -56,61 +56,35 @@ def _guarded(f: Callable[[float], float], lower: float, upper: float):
     return wrapped
 
 
-def integrate_interval(
-    f: Callable[[float], float],
-    lower: float,
-    upper: float,
-    abs_tol: float = DEFAULT_ABS_TOL,
-    rel_tol: float = DEFAULT_REL_TOL,
-    max_subdivisions: int = DEFAULT_MAX_SUBDIVISIONS,
-) -> IntegrationResult:
+def integrate_interval(f: Callable[[float], float], lower: float, upper: float) -> IntegrationResult:
     """Integrate f over the open interval (lower, upper) inside [0, 1]."""
     if not (0.0 <= lower < upper <= 1.0):
         raise DomainError(f"need 0 <= lower < upper <= 1, got ({lower}, {upper})")
-    if abs_tol <= 0 or rel_tol <= 0:
-        raise DomainError("tolerances must be positive")
     ret = _quad(
         _guarded(f, lower, upper),
         lower,
         upper,
-        epsabs=abs_tol,
-        epsrel=rel_tol,
-        limit=int(max_subdivisions),
+        epsabs=DEFAULT_ABS_TOL,
+        epsrel=DEFAULT_REL_TOL,
+        limit=DEFAULT_MAX_SUBDIVISIONS,
         full_output=1,
     )
     value, abs_err = float(ret[0]), float(ret[1])
     subdivisions = int(ret[2]["last"])
     # A fourth element is the quadpack warning message; its presence means the
     # tolerance was not certified.
-    converged = len(ret) == 3 and abs_err <= max(abs_tol, rel_tol * abs(value))
+    converged = len(ret) == 3 and abs_err <= max(DEFAULT_ABS_TOL, DEFAULT_REL_TOL * abs(value))
     return IntegrationResult(value, abs_err, subdivisions, converged)
 
 
-def integrate_unit_interval(
-    f: Callable[[float], float],
-    abs_tol: float = DEFAULT_ABS_TOL,
-    rel_tol: float = DEFAULT_REL_TOL,
-    max_subdivisions: int = DEFAULT_MAX_SUBDIVISIONS,
-) -> IntegrationResult:
+def integrate_unit_interval(f: Callable[[float], float]) -> IntegrationResult:
     """Integrate f over (0,1) adaptively with open (interior-node) rules."""
-    return integrate_interval(f, 0.0, 1.0, abs_tol, rel_tol, max_subdivisions)
+    return integrate_interval(f, 0.0, 1.0)
 
 
-def gamma_beta(kind: str, a: float, b: float | None = None) -> float:
-    """Evaluate Gamma(a) or Beta(a, b) = Gamma(a)Gamma(b)/Gamma(a+b).
-
-    ``kind`` is "gamma" or "beta"; arguments must be strictly positive and
-    beta requires both.
-    """
-    if kind == "gamma":
-        if not a > 0:
-            raise DomainError(f"gamma requires a > 0, got {a}")
-        return math.gamma(a)
-    if kind == "beta":
-        if b is None:
-            raise DomainError("beta requires a second argument")
-        if not (a > 0 and b > 0):
-            raise DomainError(f"beta requires a, b > 0, got ({a}, {b})")
-        # Work in log space so large arguments cannot overflow the quotient.
-        return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
-    raise DomainError(f"unknown kind {kind!r}, expected 'gamma' or 'beta'")
+def beta(a: float, b: float) -> float:
+    """Beta(a, b) = Gamma(a)Gamma(b)/Gamma(a+b) for a, b > 0."""
+    if not (a > 0 and b > 0):
+        raise DomainError(f"beta requires a, b > 0, got ({a}, {b})")
+    # Work in log space so large arguments cannot overflow the quotient.
+    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))

@@ -103,6 +103,11 @@ def eval_weight(w: WeightFunction, x):
     return value
 
 
+def _on_grid(w: WeightFunction, lo: float, hi: float, grid_points: int = DEFAULT_GRID_POINTS):
+    """w on grid_points evenly spaced points of [lo, hi]; the grid every weight check reads."""
+    return eval_weight(w, np.linspace(lo, hi, int(grid_points)))
+
+
 def check_monotone_weight(
     w: WeightFunction, lo: float, hi: float, grid_points: int = DEFAULT_GRID_POINTS
 ) -> str:
@@ -118,8 +123,7 @@ def check_monotone_weight(
         raise DomainError(f"need lo < hi, got ({lo}, {hi})")
     if grid_points < 2:
         raise DomainError(f"need at least 2 grid points, got {grid_points}")
-    values = eval_weight(w, np.linspace(lo, hi, int(grid_points)))
-    steps = np.diff(values)
+    steps = np.diff(_on_grid(w, lo, hi, grid_points))
     rises = bool(np.any(steps > 0.0))
     falls = bool(np.any(steps < 0.0))
     if rises and falls:

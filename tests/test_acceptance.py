@@ -78,7 +78,7 @@ def test_c1_closed_form_reproduction():
             for n in (1, 2, 3):
                 got = gw_design_measure(d, POWER[m], MeasureSpec(RESIDUAL, MIN_RSSU, n))
                 expected = -0.5 * math.prod(
-                    gx.gamma_beta("beta", m + 1.0, 2.0 * i * b + 1.0)
+                    gx.beta(m + 1.0, 2.0 * i * b + 1.0)
                     for i in range(1, n + 1)
                 )
                 assert_allclose(got, expected, rtol=1e-8)

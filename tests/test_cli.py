@@ -1,6 +1,8 @@
 """Command-line behavior: payload shapes, determinism, and exit codes."""
 
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,3 +179,28 @@ def test_converge_rejects_single_design(capsys):
     )
     assert code == 2
     capsys.readouterr()
+
+
+def readme_commands():
+    """The ``gwextropy ...`` lines of README's command-line block, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    return [
+        shlex.split(line)[1:]
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("gwextropy ")
+    ]
+
+
+def test_readme_commands_run(tmp_path, capsys):
+    commands = readme_commands()
+    assert [argv[0] for argv in commands] == ["measure", "simulate", "estimate", "verify", "converge"]
+    obs = tmp_path / "obs.csv"
+    assert run_command(["simulate", "--dist", "exp:1", "--design", "srs", "--n", "20",
+                        "--seed", "1", "--out", str(obs)]) == 0
+    for argv in commands:
+        argv = [str(obs) if arg == "obs.csv" else arg for arg in argv]
+        if "--out" in argv:
+            at = argv.index("--out") + 1
+            argv[at] = str(tmp_path / argv[at])
+        assert run_command(argv) == 0, argv

@@ -17,6 +17,7 @@ from gwextropy.measures import (
     SINGLE,
     SRS,
     MeasureSpec,
+    _FactorSequence,
     closed_form,
     gw_cumulative,
     gw_design_measure,
@@ -204,3 +205,47 @@ def test_quadrature_error_bounds_registry_error(m, b):
     d, w, spec = gx.power_survival(b), gx.power_weight(m), MeasureSpec(RESIDUAL, MIN_RSSU, 1)
     report = measure_report(d, w, spec)
     assert abs(report.value - closed_form(d, w, spec)) <= report.quadrature_error
+
+
+def _outcome(evaluate):
+    """A report's value, error and factor values, or the fields of its DivergenceError."""
+    try:
+        r = evaluate()
+    except DivergenceError as e:
+        return ("diverges", str(e), e.variant, e.factor_index, e.error_estimate)
+    return (r.value, r.quadrature_error, tuple(f.value for f in r.factor_results))
+
+
+@pytest.mark.parametrize("dist", ["uniform:0,1", "exp:1", "powersurv:2"])
+@pytest.mark.parametrize("weight", ["power:1", "expdecay:0.7"])
+def test_shared_sequence_matches_fresh_reports(dist, weight):
+    # one sequence serves every spec of its variant; the largest RSSU spec
+    # comes first so the rest read factors it already integrated
+    d, w = gx.parse_distribution(dist), gx.parse_weight(weight)
+    for variant, rssu in ((PAST, MAX_RSSU), (RESIDUAL, MIN_RSSU)):
+        specs = [MeasureSpec(variant, rssu, n) for n in range(6, 0, -1)]
+        specs += [MeasureSpec(variant, SINGLE)] + [MeasureSpec(variant, SRS, n) for n in range(1, 7)]
+        shared = _FactorSequence(d, w, variant)
+        for spec in specs:
+            assert _outcome(lambda: shared.report(spec)) == _outcome(lambda: measure_report(d, w, spec))
+
+
+@pytest.mark.parametrize("weight", ["const:1", "power:1"])
+def test_shared_sequence_raises_the_fresh_divergence(weight):
+    # exp:1 past diverges at factor 1: by non-convergence under const:1, by
+    # the analytic rule under power:1; each spec keeps its own message
+    d, w = gx.exponential(1.0), gx.parse_weight(weight)
+    specs = [MeasureSpec(PAST, MAX_RSSU, 3), MeasureSpec(PAST), MeasureSpec(PAST, SRS, 2)]
+    for order in (specs, specs[::-1]):
+        shared = _FactorSequence(d, w, PAST)
+        for spec in order:
+            fresh = _outcome(lambda: measure_report(d, w, spec))
+            assert fresh[0] == "diverges"
+            assert _outcome(lambda: shared.report(spec)) == fresh
+    by_spec = {spec.design: _outcome(lambda: measure_report(d, w, spec)) for spec in specs}
+    if weight == "const:1":
+        assert by_spec[MAX_RSSU][3] == 1 and "(factor i=1)" in by_spec[MAX_RSSU][1]
+        assert by_spec[SINGLE][3] is None and "for the past integrand; " in by_spec[SINGLE][1]
+        assert by_spec[MAX_RSSU][4] == by_spec[SINGLE][4] > 0.0
+    else:
+        assert all(o[3] is None and "unbounded support" in o[1] for o in by_spec.values())

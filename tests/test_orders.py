@@ -255,3 +255,20 @@ def test_transform_failure_is_reported_not_raised():
         assert not r.hypotheses_ok
         assert not r.gated_failure
         assert math.isnan(r.conclusion_margin)
+
+
+def test_suite_integrates_each_factor_once(monkeypatch):
+    from gwextropy import measures
+
+    integrate = measures.integrate_unit_interval
+    calls = []
+
+    def counting(f):
+        calls.append(f)
+        return integrate(f)
+
+    monkeypatch.setattr(measures, "integrate_unit_interval", counting)
+    run_theorem_suite()
+    # 50 distinct (distribution, weight, variant, factor index) integrals;
+    # evaluating every report on its own integrates 211
+    assert len(calls) == 50

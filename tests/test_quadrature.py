@@ -6,11 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gwextropy.errors import DomainError, IntegrandError
-from gwextropy.quadrature import (
-    gamma_beta,
-    integrate_interval,
-    integrate_unit_interval,
-)
+from gwextropy.quadrature import beta, integrate_interval, integrate_unit_interval
 
 
 def test_monomials_to_degree_12():
@@ -31,7 +27,7 @@ def test_mixed_polynomial():
 def test_beta_kernel_matches_gamma_route(a, b):
     result = integrate_unit_interval(lambda u: u ** (a - 1) * (1 - u) ** (b - 1))
     assert result.converged
-    assert_allclose(result.value, gamma_beta("beta", a, b), rtol=1e-9)
+    assert_allclose(result.value, beta(a, b), rtol=1e-9)
 
 
 def test_split_interval_additivity():
@@ -74,13 +70,9 @@ def test_interior_nan_raises_with_location():
     assert 0.0 < excinfo.value.u < 1.0
 
 
-def test_gamma_beta_values():
-    assert_allclose(gamma_beta("gamma", 5.0), 24.0, rtol=1e-14)
-    assert_allclose(gamma_beta("gamma", 0.5), math.sqrt(math.pi), rtol=1e-14)
-    assert_allclose(gamma_beta("beta", 2.0, 3.0), 1 / 12, rtol=1e-12)
-    assert_allclose(gamma_beta("beta", 3.0, 5.0), 1 / 105, rtol=1e-12)
-
-
-def test_gamma_beta_rejects_unknown_kind():
+def test_beta_values():
+    assert_allclose(beta(2.0, 3.0), 1 / 12, rtol=1e-12)
+    assert_allclose(beta(3.0, 5.0), 1 / 105, rtol=1e-12)
+    assert_allclose(beta(0.5, 0.5), math.pi, rtol=1e-14)
     with pytest.raises(DomainError):
-        gamma_beta("nope", 2.0)
+        beta(0.0, 1.0)

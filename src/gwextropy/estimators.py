@@ -32,6 +32,8 @@ GAUSSIAN = "gaussian"
 EPANECHNIKOV = "epanechnikov"
 SILVERMAN = "silverman"
 
+_KERNEL_BLOCK = 1 << 16  # kernel values smoothed_cdf computes at once
+
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -114,8 +116,17 @@ def smoothed_cdf(sample, kernel: str, h: float, x):
         raise InsufficientDataError("need at least 1 observation for a smoothed CDF")
     L = _integrated_kernel(kernel)
     x_arr = np.asarray(x, dtype=float)
-    t = (x_arr[..., np.newaxis] - data) / h
-    out = np.mean(L(t), axis=-1)
+
+    def row_means(points):
+        return np.mean(L((points[..., np.newaxis] - data) / h), axis=-1)
+
+    # Blocks of evaluation points keep memory at O(max(_KERNEL_BLOCK, n)), not
+    # O(len(x) * n). Each point's row reduces on its own, so the block size
+    # does not change a bit of the result.
+    rows = max(1, _KERNEL_BLOCK // data.size)
+    points = x_arr.ravel()
+    blocks = [row_means(points[i : i + rows]) for i in range(0, max(points.size, 1), rows)]
+    out = np.concatenate(blocks).reshape(x_arr.shape)
     if np.ndim(x) == 0:
         return float(out)
     return out

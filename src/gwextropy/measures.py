@@ -99,14 +99,32 @@ class MeasureReport:
     quadrature_error: float
 
 
-def make_integrand(d: Distribution, w: WeightFunction, kind: IntegrandKind) -> Callable:
-    """Scalar integrand over u in (0,1) for the requested kind."""
+def make_integrand(
+    d: Distribution, w: WeightFunction, kind: IntegrandKind, *, nodes: dict | None = None
+) -> Callable:
+    """Scalar integrand over u in (0,1) for the requested kind.
+
+    nodes, when given, maps u to the pair (w(Q(u)), f(Q(u))): the integrand
+    reads a node's pair from it or computes the pair and adds it. Integrands
+    of one distribution and weight that share a map evaluate the weight and
+    the density once per node, and return the same floats as without one.
+    Without a map every call computes the pair afresh.
+    """
     density = d.pdf_at_quantile
+
+    def kernel(u: float) -> tuple[float, float]:
+        pair = None if nodes is None else nodes.get(u)
+        if pair is None:
+            pair = (eval_weight(w, d.quantile(u)), float(density(u)))
+            if nodes is not None:
+                nodes[u] = pair
+        return pair
 
     if kind.kind == DELTA_GWJ:
 
         def integrand(u: float) -> float:
-            return eval_weight(w, d.quantile(u)) * float(density(u))
+            wq, fq = kernel(u)
+            return wq * fq
 
         return integrand
 
@@ -116,7 +134,8 @@ def make_integrand(d: Distribution, w: WeightFunction, kind: IntegrandKind) -> C
 
     def integrand(u: float) -> float:
         base = (1.0 - u) if survival_side else u
-        return base**exponent * eval_weight(w, d.quantile(u)) / float(density(u))
+        wq, fq = kernel(u)
+        return base**exponent * wq / fq
 
     return integrand
 
@@ -136,7 +155,8 @@ def gw_cumulative(d: Distribution, w: WeightFunction, variant: str) -> float:
 class _FactorSequence:
     """Factors 1, 2, ... of one (distribution, weight, variant), integrated in
     order on first use and kept: E[Psi_i] (past), E[Phi_i] (residual), or the
-    single E[w(Q) f(Q)] (plain).
+    single E[w(Q) f(Q)] (plain). Every factor integrand reads and fills the
+    sequence's node map of (w(Q(u)), f(Q(u))) pairs.
 
     The first factor that diverges ends the sequence. The past variant with a
     power weight on an unbounded support diverges from factor 1 on: u -> 1
@@ -145,6 +165,7 @@ class _FactorSequence:
 
     def __init__(self, d: Distribution, w: WeightFunction, variant: str):
         self.d, self.w, self.variant = d, w, variant
+        self.nodes: dict = {}
         self.results: list[IntegrationResult] = []
         self.unconverged: IntegrationResult | None = None
         self.rejected = variant == PAST and w.family_tag == POWER and not math.isfinite(d.support_upper)
@@ -176,7 +197,7 @@ class _FactorSequence:
                 kind = IntegrandKind(DELTA_GWJ)
             else:
                 kind = IntegrandKind(PSI_I if self.variant == PAST else PHI_I, len(self.results) + 1)
-            res = integrate_unit_interval(make_integrand(self.d, self.w, kind))
+            res = integrate_unit_interval(make_integrand(self.d, self.w, kind, nodes=self.nodes))
             if res.converged:
                 self.results.append(res)
             else:

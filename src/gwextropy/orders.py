@@ -256,7 +256,10 @@ def check_lemma1(dX: Distribution, dY: Distribution, grid_points: int = 64) -> L
 
 
 def _sequence(sequences: dict, d: Distribution, w: WeightFunction, variant: str) -> _FactorSequence:
-    return sequences.setdefault((d, w, variant), _FactorSequence(d, w, variant))
+    key = (d, w, variant)
+    if key not in sequences:  # built on a miss only
+        sequences[key] = _FactorSequence(d, w, variant)
+    return sequences[key]
 
 
 def _measure_extended(sequences: dict, d: Distribution, w: WeightFunction, spec: MeasureSpec) -> float:
@@ -516,7 +519,8 @@ def run_theorem_suite(cases=None) -> list[TheoremReport]:
         cases = default_suite()
     reports: list[TheoremReport] = []
     # One factor sequence per (distribution, weight, variant): each factor is
-    # integrated once per run, whichever reports need it.
+    # integrated once per run, whichever reports need it, and w(Q(u)), f(Q(u))
+    # once per sequence and node.
     sequences: dict = {}
     for case in cases:
         if case.dY is not None:

@@ -9,6 +9,7 @@ resolve a direction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -48,7 +49,7 @@ def power_weight(m: float) -> WeightFunction:
 
     def _eval(x):
         arr = np.asarray(x, float)
-        if np.any(arr < 0.0):
+        if (float(arr) < 0.0) if arr.ndim == 0 else np.any(arr < 0.0):
             raise DomainError(f"power weight is defined for x >= 0, got {x!r}")
         return arr**m
 
@@ -92,15 +93,27 @@ def custom_weight(fn: Callable, monotonicity_hint: str = UNKNOWN, label: str = "
 
 def eval_weight(w: WeightFunction, x):
     """w(x), checked nonnegative; scalar in, float out; array in, array out."""
-    value = np.asarray(w.eval(x), float)
+    value = w.eval(x)
+    # A scalar is checked as a float: quadrature calls this once per node, and
+    # numpy reductions on a 0-d array cost several microseconds each.
+    if (isinstance(x, float) or np.ndim(x) == 0) and getattr(value, "ndim", 0) == 0:
+        value = float(value)
+        if not (math.isfinite(value) and value >= 0.0):
+            raise _invalid(w, value)
+        return value
+    value = np.asarray(value, float)
     if np.any(value < 0.0) or not np.all(np.isfinite(value)):
         bad = value if np.ndim(value) == 0 else value[~(np.isfinite(value) & (value >= 0.0))][0]
-        raise WeightValidityError(
-            f"weight {w.label!r} produced an invalid value {float(bad)!r} (must be finite and >= 0)"
-        )
+        raise _invalid(w, bad)
     if np.ndim(x) == 0:
         return float(value)
     return value
+
+
+def _invalid(w: WeightFunction, bad) -> WeightValidityError:
+    return WeightValidityError(
+        f"weight {w.label!r} produced an invalid value {float(bad)!r} (must be finite and >= 0)"
+    )
 
 
 def _on_grid(w: WeightFunction, lo: float, hi: float, grid_points: int = DEFAULT_GRID_POINTS):

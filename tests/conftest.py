@@ -12,6 +12,9 @@ import numpy as np
 import pytest
 
 import gwextropy as gx
+from gwextropy import measures
+from gwextropy.errors import DivergenceError
+from gwextropy.measures import measure_report
 
 _LADDER_SIZES = (100, 1000, 10000)
 _LADDER_SEEDS = 50
@@ -81,6 +84,25 @@ def ks_distance(sample, cdf):
     upper = np.max(np.abs(np.arange(1, n + 1) / n - f))
     lower = np.max(np.abs(np.arange(0, n) / n - f))
     return float(max(upper, lower))
+
+
+def outcome(evaluate):
+    """A report's value, error and factor results, or the fields of its DivergenceError."""
+    try:
+        r = evaluate()
+    except DivergenceError as e:
+        return ("diverges", str(e), e.variant, e.factor_index, e.error_estimate)
+    factors = tuple((f.value, f.abs_error_estimate, f.subdivisions) for f in r.factor_results)
+    return (r.value, r.quadrature_error, factors)
+
+
+def fresh_outcome(d, w, spec):
+    """The outcome of spec from a fresh sequence whose factor integrands read
+    no node map: the oracle for shared sequences and node maps."""
+    make = measures.make_integrand
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "make_integrand", lambda d, w, kind, nodes=None: make(d, w, kind))
+        return outcome(lambda: measure_report(d, w, spec))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import gwextropy as gx
 from gwextropy.errors import BandwidthError, DomainError, InsufficientDataError
 from gwextropy.estimators import (
     EstimatorConfig,
+    _integrated_kernel,
     bandwidth_silverman,
     kernel_estimate,
     resolve_bandwidth,
@@ -97,6 +98,21 @@ def test_smoothed_cdf_monotone_in_x():
         f = smoothed_cdf(values, kernel, 0.4, grid)
         assert np.all(np.diff(f) >= -1e-15)
         assert np.all((f >= 0.0) & (f <= 1.0))
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 16])
+def test_smoothed_cdf_blocks_keep_shape_and_bits(monkeypatch, block):
+    # a block holds max(1, block // n) evaluation points; any block size
+    # gives the bits of the one dense (points x observations) evaluation
+    monkeypatch.setattr("gwextropy.estimators._KERNEL_BLOCK", block)
+    values = np.random.default_rng(4).exponential(size=5)
+    for kernel in ("gaussian", "epanechnikov"):
+        L = _integrated_kernel(kernel)
+        for x in (0.7, np.linspace(0.0, 3.0, 12).reshape(3, 4), np.linspace(0.0, 3.0, 13), np.array([])):
+            dense = np.mean(L((np.asarray(x)[..., np.newaxis] - values) / 0.4), axis=-1)
+            out = smoothed_cdf(values, kernel, 0.4, x)
+            assert np.shape(out) == np.shape(x) and np.asarray(out).tobytes() == dense.tobytes()
+    assert type(smoothed_cdf(values, "gaussian", 0.4, 0.7)) is float
 
 
 def test_epanechnikov_integrated_kernel_closed_form():

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import gwextropy as gx
+from gwextropy import measures
 from gwextropy.errors import DivergenceError, DomainError
 from gwextropy.measures import (
     MAX_RSSU,
@@ -24,6 +25,8 @@ from gwextropy.measures import (
     gwj,
     measure_report,
 )
+
+from conftest import fresh_outcome, outcome
 
 
 def test_gwj_anchors():
@@ -207,27 +210,20 @@ def test_quadrature_error_bounds_registry_error(m, b):
     assert abs(report.value - closed_form(d, w, spec)) <= report.quadrature_error
 
 
-def _outcome(evaluate):
-    """A report's value, error and factor values, or the fields of its DivergenceError."""
-    try:
-        r = evaluate()
-    except DivergenceError as e:
-        return ("diverges", str(e), e.variant, e.factor_index, e.error_estimate)
-    return (r.value, r.quadrature_error, tuple(f.value for f in r.factor_results))
-
-
-@pytest.mark.parametrize("dist", ["uniform:0,1", "exp:1", "powersurv:2"])
-@pytest.mark.parametrize("weight", ["power:1", "expdecay:0.7"])
+@pytest.mark.parametrize("dist", ["uniform:0,1", "exp:1", "powersurv:2", "transform:exp_minus_one(exp:1.01)"])
+@pytest.mark.parametrize("weight", ["power:1", "expdecay:0.7", "const:1"])
 def test_shared_sequence_matches_fresh_reports(dist, weight):
     # one sequence serves every spec of its variant; the largest RSSU spec
-    # comes first so the rest read factors it already integrated
+    # comes first so the rest read factors, and nodes, it already evaluated
     d, w = gx.parse_distribution(dist), gx.parse_weight(weight)
-    for variant, rssu in ((PAST, MAX_RSSU), (RESIDUAL, MIN_RSSU)):
-        specs = [MeasureSpec(variant, rssu, n) for n in range(6, 0, -1)]
-        specs += [MeasureSpec(variant, SINGLE)] + [MeasureSpec(variant, SRS, n) for n in range(1, 7)]
+    for variant, rssu in ((RESIDUAL, MIN_RSSU), (PAST, MAX_RSSU), (PLAIN, None)):
+        specs = [MeasureSpec(PLAIN)]
+        if rssu is not None:
+            specs = [MeasureSpec(variant, rssu, n) for n in range(6, 0, -1)]
+            specs += [MeasureSpec(variant, SINGLE)] + [MeasureSpec(variant, SRS, n) for n in range(1, 7)]
         shared = _FactorSequence(d, w, variant)
         for spec in specs:
-            assert _outcome(lambda: shared.report(spec)) == _outcome(lambda: measure_report(d, w, spec))
+            assert outcome(lambda: shared.report(spec)) == fresh_outcome(d, w, spec)
 
 
 @pytest.mark.parametrize("weight", ["const:1", "power:1"])
@@ -239,13 +235,34 @@ def test_shared_sequence_raises_the_fresh_divergence(weight):
     for order in (specs, specs[::-1]):
         shared = _FactorSequence(d, w, PAST)
         for spec in order:
-            fresh = _outcome(lambda: measure_report(d, w, spec))
+            fresh = outcome(lambda: measure_report(d, w, spec))
             assert fresh[0] == "diverges"
-            assert _outcome(lambda: shared.report(spec)) == fresh
-    by_spec = {spec.design: _outcome(lambda: measure_report(d, w, spec)) for spec in specs}
+            assert outcome(lambda: shared.report(spec)) == fresh
+    by_spec = {spec.design: outcome(lambda: measure_report(d, w, spec)) for spec in specs}
     if weight == "const:1":
         assert by_spec[MAX_RSSU][3] == 1 and "(factor i=1)" in by_spec[MAX_RSSU][1]
         assert by_spec[SINGLE][3] is None and "for the past integrand; " in by_spec[SINGLE][1]
         assert by_spec[MAX_RSSU][4] == by_spec[SINGLE][4] > 0.0
     else:
         assert all(o[3] is None and "unbounded support" in o[1] for o in by_spec.values())
+
+
+def test_sequence_evaluates_the_weight_once_per_node(monkeypatch):
+    weigh, integrate = measures.eval_weight, measures.integrate_unit_interval
+    weight_calls, integrand_calls = [], []
+
+    def counting_weight(w, x):
+        weight_calls.append(x)
+        return weigh(w, x)
+
+    def recording(f):
+        def integrand(u):
+            integrand_calls.append(u)
+            return f(u)
+
+        return integrate(integrand)
+
+    monkeypatch.setattr(measures, "eval_weight", counting_weight)
+    monkeypatch.setattr(measures, "integrate_unit_interval", recording)
+    measure_report(gx.uniform(), gx.power_weight(2.0), MeasureSpec(PAST, MAX_RSSU, 5))
+    assert len(weight_calls) == len(set(integrand_calls)) < len(integrand_calls)

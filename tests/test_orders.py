@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import gwextropy as gx
+from gwextropy import measures, orders
 from gwextropy.errors import DomainError
 from gwextropy.orders import (
     CONVEX_TRANSFORM,
@@ -258,8 +259,6 @@ def test_transform_failure_is_reported_not_raised():
 
 
 def test_suite_integrates_each_factor_once(monkeypatch):
-    from gwextropy import measures
-
     integrate = measures.integrate_unit_interval
     calls = []
 
@@ -272,3 +271,35 @@ def test_suite_integrates_each_factor_once(monkeypatch):
     # 50 distinct (distribution, weight, variant, factor index) integrals;
     # evaluating every report on its own integrates 211
     assert len(calls) == 50
+
+
+def test_suite_builds_each_sequence_once_with_its_own_node_map(monkeypatch):
+    built = []
+
+    def recording(d, w, variant):
+        sequence = measures._FactorSequence(d, w, variant)
+        built.append(sequence)
+        return sequence
+
+    monkeypatch.setattr(orders, "_FactorSequence", recording)
+    run_theorem_suite()
+    keys = [(s.d, s.w, s.variant) for s in built]
+    assert len(keys) == len(set(keys))
+    assert len({id(s.nodes) for s in built}) == len(built)
+    assert all(s.nodes for s in built if s.results)
+
+
+def test_suite_reports_match_fresh_integrands(monkeypatch):
+    # one distribution with two weights and with two variants: the node maps
+    # must follow (distribution, weight, variant), and the reports equal the
+    # ones built from integrands that read no node map
+    dX, dY = gx.uniform(1.0, 2.0), gx.uniform(0.0, 2.0)
+    cases = [
+        TheoremCase(dX=dX, w1=gx.exp_decay_weight(1.0), dY=dY),
+        TheoremCase(dX=dX, w1=gx.power_weight(1.0), dY=dY, w2=gx.power_weight(2.0)),
+        TheoremCase(dX=dX, w1=gx.constant_weight(1.0), n_values=(1, 2, 3, 4)),
+    ]
+    shared = run_theorem_suite(cases)
+    make = measures.make_integrand
+    monkeypatch.setattr(measures, "make_integrand", lambda d, w, kind, nodes=None: make(d, w, kind))
+    assert [repr(r) for r in shared] == [repr(r) for r in run_theorem_suite(cases)]

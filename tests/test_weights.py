@@ -1,5 +1,8 @@
 """Weight function evaluation, validity guards, and grid monotonicity verdicts."""
 
+import re
+
+import numpy as np
 import pytest
 
 import gwextropy as gx
@@ -13,8 +16,11 @@ def test_eval_closed_cases():
 
 
 def test_power_weight_rejects_negative_argument():
-    with pytest.raises(DomainError):
-        gx.eval_weight(gx.power_weight(2.0), -0.1)
+    w = gx.power_weight(2.0)
+    for x in (-0.1, np.asarray(-0.1), np.array([1.0, -0.1])):
+        with pytest.raises(DomainError):
+            gx.eval_weight(w, x)
+    assert gx.eval_weight(w, -0.0) == 0.0
 
 
 def test_custom_weight_must_stay_nonnegative():
@@ -51,3 +57,32 @@ def test_parse_weight():
     for bad in ("", "power:", "power:-1", "poweroops:1", "const:-3"):
         with pytest.raises(ParseError):
             gx.parse_weight(bad)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -0.5])
+def test_invalid_values_raise_on_scalar_and_array_paths(bad):
+    w = gx.custom_weight(lambda x: x, label="identity")
+    message = f"weight 'identity' produced an invalid value {bad!r} (must be finite and >= 0)"
+    for x in (bad, np.float64(bad), np.asarray(bad), np.array([1.0, bad, 2.0])):
+        with pytest.raises(WeightValidityError, match=f"^{re.escape(message)}$"):
+            gx.eval_weight(w, x)
+
+
+def test_builtin_weights_reject_non_finite_values():
+    for w, x in ((gx.power_weight(2.0), float("nan")), (gx.power_weight(2.0), float("inf")),
+                 (gx.exp_decay_weight(1.0), float("-inf"))):
+        for arg in (x, np.array([x])):
+            with pytest.raises(WeightValidityError, match="produced an invalid value"):
+                gx.eval_weight(w, arg)
+
+
+def test_eval_weight_returns_float_for_scalars_and_arrays_for_arrays():
+    weights = (gx.power_weight(2.0), gx.power_weight(0.5), gx.constant_weight(3.0),
+               gx.exp_decay_weight(0.7), gx.custom_weight(lambda x: 1.0 / (1.0 + np.asarray(x))))
+    for w in weights:
+        for x in (0.5, np.float64(0.5), np.asarray(0.5), 2):
+            assert type(gx.eval_weight(w, x)) is float
+        for x in (np.array([0.5, 2.0]), [0.5, 2.0]):
+            out = gx.eval_weight(w, x)
+            assert isinstance(out, np.ndarray) and out.shape == (2,)
+            assert out.tolist() == [gx.eval_weight(w, 0.5), gx.eval_weight(w, 2)]

@@ -5,7 +5,8 @@ estimate (empirical estimators on a CSV of observations), verify (theorem
 suite as a JSON array), converge (estimator error ladder as CSV).
 
 Exit codes: 0 success, 1 a theorem conclusion failed under passing
-hypotheses, 2 usage or specification errors, 3 divergent computation.
+hypotheses, 2 usage or specification errors, 3 divergent computation or a
+float overflow (Python's float ** and math functions raise OverflowError).
 
 Numbers in JSON are rounded to 12 significant digits; CSV uses the shortest
 round-trip representation. Reruns with identical flags produce byte-identical
@@ -83,11 +84,11 @@ def _cmd_measure(args) -> int:
     w = parse_weight(args.weight)
     spec = MeasureSpec(_VARIANTS[args.variant], _DESIGNS[args.design], args.n)
     report = measure_report(d, w, spec)
-    payload = {"value": _sig12(report.value)}
+    payload = {"value": _json_number(report.value)}
     registered = closed_form(d, w, spec)
     if registered is not None:
-        payload["closed_form"] = _sig12(registered)
-    payload["quadrature_error"] = _sig12(report.quadrature_error)
+        payload["closed_form"] = _json_number(registered)
+    payload["quadrature_error"] = _json_number(report.quadrature_error)
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
 
@@ -285,7 +286,7 @@ def run_command(argv) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except DivergenceError as exc:
+    except (DivergenceError, OverflowError) as exc:
         print(f"divergent computation: {exc}", file=sys.stderr)
         return 3
     except ExtropyError as exc:

@@ -24,9 +24,6 @@ POWER_SURVIVAL = "power_survival"
 TRANSFORMED = "transformed"
 CUSTOM = "custom"
 
-# Width used by monotone bisection inversions (psi inverse, custom cdf).
-_INVERSION_TOL = 1e-12
-
 
 @dataclass(frozen=True, eq=False)
 class Distribution:
@@ -58,7 +55,8 @@ class Distribution:
 class Transformation:
     """An increasing map psi with psi(0) = 0, given with its derivative.
 
-    ``psi_inverse`` may be omitted; inversion then falls back to bisection.
+    ``psi_inverse`` may be omitted; the cdf and pdf of psi(X) then come from
+    inverting its quantile.
     """
 
     name: str
@@ -176,6 +174,36 @@ def power_survival(b: float) -> Distribution:
     )
 
 
+def _inverted_quantile(quantile_fn: Callable, pdf_at_quantile_fn: Callable, lo: float, hi: float):
+    """cdf and pdf of a distribution known by its increasing quantile and
+    density-at-quantile on the support (lo, hi).
+
+    cdf(x) halves (0,1) 64 times for every x at once, which leaves a bracket
+    narrower than 1e-19. Each midpoint is capped at the largest double below
+    1, so quantile_fn is never called at u = 0 or 1; where 1 - F(x) < 2^-53
+    the cdf rounds to 1. pdf(x) is pdf_at_quantile_fn(cdf(x)) where the cdf
+    lies strictly inside (0,1), else 0.
+    """
+    u_top = np.nextafter(1.0, 0.0)
+
+    def cdf(x):
+        x = np.asarray(x, float)
+        u_lo, u_hi = np.zeros_like(x), np.ones_like(x)
+        for _ in range(64):
+            mid = np.minimum(0.5 * (u_lo + u_hi), u_top)
+            below = quantile_fn(mid) < x
+            u_lo = np.where(below, mid, u_lo)
+            u_hi = np.where(below, u_hi, mid)
+        return np.where(x <= lo, 0.0, np.where(x >= hi, 1.0, 0.5 * (u_lo + u_hi)))
+
+    def pdf(x):
+        u = cdf(x)
+        inside = (u > 0.0) & (u < 1.0)
+        return np.where(inside, pdf_at_quantile_fn(np.where(inside, u, 0.5)), 0.0)
+
+    return cdf, pdf
+
+
 def custom(
     quantile_fn: Callable,
     pdf_at_quantile_fn: Callable,
@@ -185,37 +213,13 @@ def custom(
 ) -> Distribution:
     """Build a distribution from a quantile function and density-at-quantile.
 
-    The cdf is recovered by monotone bisection in u-space; the pdf is
-    pdf_at_quantile composed with that inverse.
+    Both take scalars or numpy arrays. The cdf inverts quantile_fn by
+    bisection in u-space, and the pdf is pdf_at_quantile_fn composed with it.
     """
     lo, hi = float(support_lower), float(support_upper)
-
-    def cdf_scalar(x: float) -> float:
-        if x <= lo:
-            return 0.0
-        if x >= hi:
-            return 1.0
-        u_lo, u_hi = 0.0, 1.0
-        # 64 halvings push the bracket width below 1e-19; endpoints are never
-        # evaluated because only midpoints reach quantile_fn.
-        for _ in range(64):
-            mid = 0.5 * (u_lo + u_hi)
-            if float(quantile_fn(mid)) < x:
-                u_lo = mid
-            else:
-                u_hi = mid
-        return 0.5 * (u_lo + u_hi)
-
-    cdf = np.vectorize(cdf_scalar, otypes=[float])
-
-    def pdf(x):
-        x_arr = np.asarray(x, float)
-        u = cdf(x_arr)
-        out = np.zeros_like(x_arr, dtype=float)
-        inside = (u > 0.0) & (u < 1.0)
-        if np.any(inside):
-            out = np.where(inside, pdf_at_quantile_fn(np.where(inside, u, 0.5)), 0.0)
-        return out
+    quantile_arr = lambda u: np.asarray(quantile_fn(u), float)  # noqa: E731
+    pdf_at_quantile_arr = lambda u: np.asarray(pdf_at_quantile_fn(u), float)  # noqa: E731
+    cdf, pdf = _inverted_quantile(quantile_arr, pdf_at_quantile_arr, lo, hi)
 
     return Distribution(
         family_tag=CUSTOM,
@@ -223,9 +227,8 @@ def custom(
         support_upper=hi,
         cdf=cdf,
         pdf=pdf,
-        quantile=lambda u: np.asarray(quantile_fn(u), float),
-        pdf_at_quantile=lambda u: np.asarray(pdf_at_quantile_fn(u), float),
-        params=(),
+        quantile=quantile_arr,
+        pdf_at_quantile=pdf_at_quantile_arr,
         label=label,
     )
 
@@ -252,8 +255,9 @@ def transform(d: Distribution, t: Transformation) -> Distribution:
     """Distribution of Y = psi(X) for increasing psi with psi(0) = 0.
 
     Requires d.support_lower >= 0. The quantile and density-at-quantile of Y
-    are closed forms in terms of X; the cdf and pdf invert psi, by the
-    registered inverse or by bisection to 1e-12.
+    are closed forms in terms of X. With a registered psi_inverse the cdf is
+    d.cdf(psi_inverse(y)) and the pdf d.pdf(x) / psi'(x) at that x; without
+    one, both come from inverting the quantile of Y in u-space, as for custom.
     """
     if d.support_lower < 0:
         raise DomainError("transform requires a distribution supported on [0, inf)")
@@ -262,54 +266,33 @@ def transform(d: Distribution, t: Transformation) -> Distribution:
     lower = float(t.psi(d.support_lower))
     upper = float(t.psi(d.support_upper)) if math.isfinite(d.support_upper) else math.inf
 
-    if t.psi_inverse is not None:
-        inverse = lambda y: np.asarray(t.psi_inverse(y), float)  # noqa: E731
-    else:
-
-        def inverse_scalar(y: float) -> float:
-            x_lo = d.support_lower
-            x_hi = d.support_upper
-            if not math.isfinite(x_hi):
-                x_hi = max(x_lo + 1.0, 1.0)
-                for _ in range(1024):
-                    if float(t.psi(x_hi)) >= y:
-                        break
-                    x_hi *= 2.0
-            while x_hi - x_lo > _INVERSION_TOL:
-                mid = 0.5 * (x_lo + x_hi)
-                if float(t.psi(mid)) < y:
-                    x_lo = mid
-                else:
-                    x_hi = mid
-            return 0.5 * (x_lo + x_hi)
-
-        inverse = np.vectorize(inverse_scalar, otypes=[float])
-
-    def cdf(y):
-        y_arr = np.asarray(y, float)
-        clipped = np.clip(y_arr, lower, upper if math.isfinite(upper) else np.inf)
-        result = d.cdf(inverse(clipped))
-        result = np.where(y_arr <= lower, 0.0, result)
-        if math.isfinite(upper):
-            result = np.where(y_arr >= upper, 1.0, result)
-        return result
-
-    def pdf(y):
-        y_arr = np.asarray(y, float)
-        inside = (y_arr > lower) & (y_arr < upper)
-        x = np.where(inside, inverse(np.where(inside, y_arr, lower)), d.support_lower)
-        dens = d.pdf(x) / np.asarray(t.psi_prime(x), float)
-        return np.where(inside, dens, 0.0)
-
-    base_quantile = d.quantile
-    base_pdf_at_q = d.pdf_at_quantile
-
     def quantile_y(u):
-        return np.asarray(t.psi(base_quantile(u)), float)
+        return np.asarray(t.psi(d.quantile(u)), float)
 
     def pdf_at_quantile_y(u):
         u_arr = np.asarray(u, float)
-        return base_pdf_at_q(u_arr) / np.asarray(t.psi_prime(base_quantile(u_arr)), float)
+        return d.pdf_at_quantile(u_arr) / np.asarray(t.psi_prime(d.quantile(u_arr)), float)
+
+    if t.psi_inverse is None:
+        cdf, pdf = _inverted_quantile(quantile_y, pdf_at_quantile_y, lower, upper)
+    else:
+        inverse = lambda y: np.asarray(t.psi_inverse(y), float)  # noqa: E731
+
+        def cdf(y):
+            y_arr = np.asarray(y, float)
+            clipped = np.clip(y_arr, lower, upper if math.isfinite(upper) else np.inf)
+            result = d.cdf(inverse(clipped))
+            result = np.where(y_arr <= lower, 0.0, result)
+            if math.isfinite(upper):
+                result = np.where(y_arr >= upper, 1.0, result)
+            return result
+
+        def pdf(y):
+            y_arr = np.asarray(y, float)
+            inside = (y_arr > lower) & (y_arr < upper)
+            x = np.where(inside, inverse(np.where(inside, y_arr, lower)), d.support_lower)
+            dens = d.pdf(x) / np.asarray(t.psi_prime(x), float)
+            return np.where(inside, dens, 0.0)
 
     return Distribution(
         family_tag=TRANSFORMED,
@@ -319,7 +302,6 @@ def transform(d: Distribution, t: Transformation) -> Distribution:
         pdf=pdf,
         quantile=quantile_y,
         pdf_at_quantile=pdf_at_quantile_y,
-        params=(),
         label=f"transform:{t.name}({d.label})",
     )
 

@@ -116,6 +116,10 @@ def make_integrand(
         pair = None if nodes is None else nodes.get(u)
         if pair is None:
             pair = (eval_weight(w, d.quantile(u)), float(density(u)))
+            # A NaN density passes on to the quadrature's IntegrandError.
+            if pair[1] <= 0.0:
+                name = d.label or d.family_tag
+                raise DomainError(f"density f(Q(u)) of {name} is {pair[1]!r} at u={u!r}; it must be > 0")
             if nodes is not None:
                 nodes[u] = pair
         return pair
@@ -220,8 +224,11 @@ class _FactorSequence:
         values = [res.value for res in factors]
         errors = [max(res.abs_error_estimate, DEFAULT_REL_TOL * abs(res.value)) for res in factors]
         if powered:
-            value = values[0] ** spec.n
-            error = 0.5 * spec.n * abs(values[0]) ** (spec.n - 1) * errors[0]
+            try:
+                value = values[0] ** spec.n
+                error = 0.5 * spec.n * abs(values[0]) ** (spec.n - 1) * errors[0]
+            except OverflowError:  # float ** raises where the product below reaches inf
+                value = error = math.inf
         else:
             value = math.prod(values)
             error = 0.5 * sum(

@@ -88,7 +88,15 @@ def custom_weight(fn: Callable, monotonicity_hint: str = UNKNOWN, label: str = "
     """Wrap an arbitrary callable; nonnegativity is enforced at evaluation."""
     if monotonicity_hint not in (INCREASING, DECREASING, UNKNOWN):
         raise DomainError(f"unknown monotonicity hint {monotonicity_hint!r}")
-    return WeightFunction(lambda x: np.asarray(fn(x), float), CUSTOM, monotonicity_hint, (), label)
+
+    def _eval(x):
+        value = fn(x)
+        try:
+            return np.asarray(value, float)
+        except (TypeError, ValueError):
+            raise WeightValidityError(f"weight {label!r} produced a non-numeric value {value!r}") from None
+
+    return WeightFunction(_eval, CUSTOM, monotonicity_hint, (), label)
 
 
 def eval_weight(w: WeightFunction, x):
@@ -102,11 +110,12 @@ def eval_weight(w: WeightFunction, x):
             raise _invalid(w, value)
         return value
     value = np.asarray(value, float)
+    if value.shape != np.shape(x):
+        raise WeightValidityError(
+            f"weight {w.label!r} produced shape {value.shape} for an input of shape {np.shape(x)}"
+        )
     if np.any(value < 0.0) or not np.all(np.isfinite(value)):
-        bad = value if np.ndim(value) == 0 else value[~(np.isfinite(value) & (value >= 0.0))][0]
-        raise _invalid(w, bad)
-    if np.ndim(x) == 0:
-        return float(value)
+        raise _invalid(w, value[~(np.isfinite(value) & (value >= 0.0))][0])
     return value
 
 

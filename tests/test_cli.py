@@ -163,6 +163,32 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()  # drain usage noise
 
 
+@pytest.mark.parametrize(
+    "dist, variant, design, label",
+    [("uniform:-1e308,1e308", "past", "single", "uniform:-1e+308,1e+308"),
+     ("exp:5e-324", "residual", "minrssu", "exp:4.94066e-324")],
+)
+def test_zero_density_is_a_specification_error(capsys, dist, variant, design, label):
+    n = "1" if design == "single" else "2"
+    code = run_command(["measure", "--dist", dist, "--weight", "const:1", "--variant", variant,
+                        "--design", design, "--n", n])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: density f(Q(u)) of {label} is 0.0 at u=0.5; it must be > 0\n"
+
+
+def test_measure_beyond_the_float_range(capsys):
+    code, payload = run_json(
+        capsys,
+        ["measure", "--dist", "uniform:0,1e308", "--weight", "const:1", "--variant", "past",
+         "--design", "srs", "--n", "2"],
+    )
+    assert (code, payload) == (0, {"value": "-inf", "quadrature_error": "inf"})
+    code = run_command(["measure", "--dist", "exp:1e308", "--weight", "power:1e308",
+                        "--variant", "residual", "--design", "minrssu", "--n", "3"])
+    assert code == 3
+    assert capsys.readouterr().err == "divergent computation: math range error\n"
+
+
 def test_rejected_measure_combination(capsys):
     code = run_command(
         ["measure", "--dist", "uniform:0,1", "--weight", "power:1",

@@ -129,7 +129,7 @@ def test_transform_rejects_decreasing_map():
 
 
 def test_transform_without_registered_inverse():
-    # cube has psi(0)=0 and is increasing; inverse must come from bisection
+    # cube has psi(0)=0 and is increasing; the cdf must come from inverting the quantile
     t = gx.Transformation("cube", lambda x: x**3, lambda x: 3.0 * x**2 + 1e-12)
     y = transform(gx.uniform(), t)
     grid = np.linspace(0.1, 0.9, 9)
@@ -147,6 +147,107 @@ def test_custom_distribution_bisection_cdf():
     )
     xs = np.array([0.1, 0.5, 1.0, 2.5])
     assert_allclose(d.cdf(xs), -np.expm1(-xs), atol=1e-9)
+
+
+def per_element_bisection(quantile_fn, pdf_at_quantile_fn, lo, hi):
+    """cdf and pdf from bisecting the quantile one x at a time: the oracle for
+    the array bisection behind custom()."""
+
+    def cdf_scalar(x):
+        if x <= lo:
+            return 0.0
+        if x >= hi:
+            return 1.0
+        u_lo, u_hi = 0.0, 1.0
+        for _ in range(64):
+            mid = 0.5 * (u_lo + u_hi)
+            if float(quantile_fn(mid)) < x:
+                u_lo = mid
+            else:
+                u_hi = mid
+        return 0.5 * (u_lo + u_hi)
+
+    cdf = np.vectorize(cdf_scalar, otypes=[float])
+
+    def pdf(x):
+        x_arr = np.asarray(x, float)
+        u = cdf(x_arr)
+        out = np.zeros_like(x_arr, dtype=float)
+        inside = (u > 0.0) & (u < 1.0)
+        if np.any(inside):
+            out = np.where(inside, pdf_at_quantile_fn(np.where(inside, u, 0.5)), 0.0)
+        return out
+
+    return cdf, pdf
+
+
+CUSTOM_CASES = {
+    "exponential-like": (lambda u: -np.log1p(-u) / 0.7, lambda u: 0.7 * (1.0 - u), 0.0, math.inf),
+    "power-survival-like": (
+        lambda u: -np.expm1(np.log1p(-u) / 2.5),
+        lambda u: 2.5 * np.exp(np.log1p(-u) * (1.0 - 1.0 / 2.5)),
+        0.0,
+        1.0,
+    ),
+    "affine": (lambda u: 2.0 + 3.0 * u, lambda u: 1.0 / 3.0 + 0.0 * u, 2.0, 5.0),
+    # numpy's ** may round differently for arrays and for scalars
+    "power": (lambda u: 1.0 - (1.0 - u) ** (1.0 / 0.7), lambda u: 0.7 * (1.0 - u) ** (1.0 - 1.0 / 0.7), 0.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CUSTOM_CASES))
+def test_custom_cdf_and_pdf_match_per_element_bisection(name):
+    q, f, lo, hi = CUSTOM_CASES[name]
+    top = hi if math.isfinite(hi) else 60.0
+    x = np.concatenate((
+        np.linspace(lo - 1.0, lo, 50),
+        np.linspace(lo, top, 700),
+        np.linspace(top, top + 10.0, 50),
+        [-np.inf, np.nextafter(lo, np.inf), float(q(np.nextafter(1.0, 0.0))), np.inf],
+    ))
+    d = custom(q, f, lo, hi)
+    with np.errstate(divide="ignore"):  # the oracle reaches u = 1
+        cdf, pdf = per_element_bisection(q, f, lo, hi)
+        expected = (cdf(x), pdf(x), cdf(0.3))
+    got = (d.cdf(x), d.pdf(x), d.cdf(0.3))
+    for e, g in zip(expected, got):
+        assert g.shape == e.shape
+        if name == "power":
+            assert_allclose(g, e, rtol=0.0, atol=1e-15)
+        else:
+            assert np.array_equal(g, e)
+
+
+def test_custom_never_calls_quantile_at_the_endpoints():
+    base = gx.exponential(1.0)
+    d = custom(lambda u: quantile(base, u), lambda u: pdf_at_quantile(base, u), 0.0, math.inf)
+    assert d.cdf(40.0) == 1.0 and d.pdf(40.0) == 0.0
+    seen = []
+    recorded = custom(lambda u: seen.append(np.copy(u)) or -np.log1p(-u), lambda u: 1.0 - u, 0.0, math.inf)
+    recorded.cdf(np.array([1e-300, 1.0, 40.0, 1e300]))
+    u = np.concatenate(seen)
+    assert np.all((u > 0.0) & (u < 1.0))
+
+
+def test_transform_without_inverse_in_the_far_tail():
+    cube = gx.Transformation("cube", lambda x: x**3, lambda x: 3.0 * x**2 + 1e-12)
+    y = transform(gx.exponential(1.0), cube)
+    tail = np.array([1e12, 1e300, np.inf])
+    assert y.cdf(tail).tolist() == [1.0, 1.0, 1.0]
+    assert y.pdf(tail).tolist() == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("base", [gx.uniform(), gx.exponential(1.0), gx.exponential(0.01), gx.power_survival(0.7)],
+                         ids=lambda d: d.label)
+def test_inverse_less_transform_matches_registered_inverse(base):
+    stripped = gx.Transformation(EXP_MINUS_ONE.name, EXP_MINUS_ONE.psi, EXP_MINUS_ONE.psi_prime)
+    y = np.concatenate(([-1.0, 0.0], np.geomspace(1e-12, 1e300, 3000), [np.inf]))
+    with np.errstate(over="ignore"):  # psi = expm1 overflows beyond x ~ 710
+        reference, inverted = transform(base, EXP_MINUS_ONE), transform(base, stripped)
+        assert_allclose(inverted.cdf(y), reference.cdf(y), rtol=0.0, atol=1e-15)
+        ref_pdf, inv_pdf = reference.pdf(y), inverted.pdf(y)
+    dense = ref_pdf >= 1e-12
+    assert_allclose(inv_pdf[dense], ref_pdf[dense], rtol=1e-9)
 
 
 def test_parse_distribution_round_trips():

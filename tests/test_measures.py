@@ -1,6 +1,7 @@
 """Measure evaluation: closed-value anchors, design products, divergence policy."""
 
 import math
+import re
 from itertools import product
 
 import pytest
@@ -8,7 +9,7 @@ from numpy.testing import assert_allclose
 
 import gwextropy as gx
 from gwextropy import measures
-from gwextropy.errors import DivergenceError, DomainError
+from gwextropy.errors import DivergenceError, DomainError, IntegrandError
 from gwextropy.measures import (
     MAX_RSSU,
     MIN_RSSU,
@@ -156,6 +157,23 @@ def test_past_power_unbounded_support_diverges():
 def test_unbounded_density_diverges():
     with pytest.raises(DivergenceError):
         gwj(gx.power_survival(0.5), gx.constant_weight(1.0))
+
+
+def test_nonpositive_density_raises_a_domain_error():
+    negative = gx.custom(lambda u: u, lambda u: -1.0 + 0.0 * u, 0.0, 1.0, label="negative")
+    message = "density f(Q(u)) of negative is -1.0 at u=0.5; it must be > 0"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        measure_report(negative, gx.power_weight(1.0), MeasureSpec(PAST))
+    undefined = gx.custom(lambda u: u, lambda u: math.nan + 0.0 * u, 0.0, 1.0)
+    with pytest.raises(IntegrandError, match="^integrand returned non-finite value nan at u=0.5$"):
+        measure_report(undefined, gx.power_weight(1.0), MeasureSpec(PAST))
+
+
+def test_values_beyond_the_float_range_read_minus_inf_in_every_design():
+    d, w = gx.uniform(0.0, 1e308), gx.constant_weight(1.0)
+    for spec in (MeasureSpec(PAST, SRS, 2), MeasureSpec(PAST, MAX_RSSU, 3)):
+        report = measure_report(d, w, spec)
+        assert (report.value, report.quadrature_error) == (-math.inf, math.inf)
 
 
 def test_spec_validation():

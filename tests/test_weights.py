@@ -86,3 +86,22 @@ def test_eval_weight_returns_float_for_scalars_and_arrays_for_arrays():
             out = gx.eval_weight(w, x)
             assert isinstance(out, np.ndarray) and out.shape == (2,)
             assert out.tolist() == [gx.eval_weight(w, 0.5), gx.eval_weight(w, 2)]
+
+
+@pytest.mark.parametrize(
+    "fn, x, message",
+    [
+        (lambda x: [x, x], 1.0, "weight 'bad' produced shape (2,) for an input of shape ()"),
+        (lambda x: 2.0, np.linspace(0.0, 1.0, 4), "weight 'bad' produced shape () for an input of shape (4,)"),
+        (lambda x: [x, x], np.linspace(0.0, 1.0, 4), "weight 'bad' produced shape (2, 4) for an input of shape (4,)"),
+        (lambda x: "a", 1.0, "weight 'bad' produced a non-numeric value 'a'"),
+        (lambda x: "a", np.linspace(0.0, 1.0, 4), "weight 'bad' produced a non-numeric value 'a'"),
+    ],
+)
+def test_malformed_custom_outputs_raise_weight_validity_errors(fn, x, message):
+    w = gx.custom_weight(fn, label="bad")
+    with pytest.raises(WeightValidityError, match=f"^{re.escape(message)}$"):
+        gx.eval_weight(w, x)
+    if np.ndim(x):
+        with pytest.raises(WeightValidityError, match=f"^{re.escape(message)}$"):
+            gx.check_monotone_weight(w, 0.0, 1.0, len(x))

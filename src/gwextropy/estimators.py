@@ -21,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import BandwidthError, DomainError, InsufficientDataError
 from .measures import PAST, RESIDUAL
+from .quadrature import _scipy_extension
 
 STEP = "step"
 KERNEL = "kernel"
@@ -33,6 +33,8 @@ EPANECHNIKOV = "epanechnikov"
 SILVERMAN = "silverman"
 
 _KERNEL_BLOCK = 1 << 16  # kernel values smoothed_cdf computes at once
+
+_ndtr = None  # the standard normal CDF ufunc, looked up on first Gaussian use
 
 
 @dataclass(frozen=True)
@@ -95,8 +97,16 @@ def step_estimate(sample, cfg: EstimatorConfig, include_head: bool = False) -> f
 
 
 def _integrated_kernel(kernel: str):
+    global _ndtr
     if kernel == GAUSSIAN:
-        return ndtr
+        if _ndtr is None:
+            # scipy.special.ndtr itself, taken from its extension module so
+            # that scipy.special's package init never runs.
+            try:
+                _ndtr = _scipy_extension("special", "_special_ufuncs").ndtr
+            except (ImportError, AttributeError):  # scipy before ndtr moved there
+                from scipy.special import ndtr as _ndtr
+        return _ndtr
 
     def epanechnikov_cdf(t):
         t = np.clip(np.asarray(t, float), -1.0, 1.0)

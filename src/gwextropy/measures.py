@@ -249,13 +249,25 @@ def gw_design_measure(d: Distribution, w: WeightFunction, spec: MeasureSpec) -> 
 
 
 def closed_form(d: Distribution, w: WeightFunction, spec: MeasureSpec) -> float | None:
-    """Registered closed-form value, or None when no formula covers the input.
+    """Registered closed-form value, or None when no formula covers the input
+    or the formula leaves the float range.
 
     Coverage (power weights x^m only): standard uniform SRS (both variants)
     and maxRSSU/minRSSU; exponential minRSSU; power-survival minRSSU. The
     uniform minRSSU form uses the exponent n on Gamma(m+1), the one the
     u-space integral gives.
+
+    The formulas are evaluated as written, so a term beyond the float range
+    (Gamma(m+1) for m > 170, n! for n > 170, (2 rate)^(m+1) rounding to 0)
+    gives None even where the value itself is a float.
     """
+    try:
+        return _registered_formula(d, w, spec)
+    except (OverflowError, ZeroDivisionError):
+        return None
+
+
+def _registered_formula(d: Distribution, w: WeightFunction, spec: MeasureSpec) -> float | None:
     if w.family_tag != POWER:
         return None
     (m,) = w.params

@@ -10,6 +10,7 @@ resolve a direction.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -104,11 +105,15 @@ def eval_weight(w: WeightFunction, x):
     value = w.eval(x)
     # A scalar is checked as a float: quadrature calls this once per node, and
     # numpy reductions on a 0-d array cost several microseconds each.
-    if (isinstance(x, float) or np.ndim(x) == 0) and getattr(value, "ndim", 0) == 0:
-        value = float(value)
-        if not (math.isfinite(value) and value >= 0.0):
-            raise _invalid(w, value)
-        return value
+    if isinstance(x, float) or np.ndim(x) == 0:
+        if isinstance(value, float) or _real_scalar(value):
+            value = float(value)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise _invalid(w, value)
+            return value
+        # An array of another shape gets the shape check below.
+        if not isinstance(value, np.ndarray) or value.ndim == 0:
+            raise WeightValidityError(f"weight {w.label!r} produced {value!r} for a scalar input, not a real number")
     value = np.asarray(value, float)
     if value.shape != np.shape(x):
         raise WeightValidityError(
@@ -117,6 +122,13 @@ def eval_weight(w: WeightFunction, x):
     if np.any(value < 0.0) or not np.all(np.isfinite(value)):
         raise _invalid(w, value[~(np.isfinite(value) & (value >= 0.0))][0])
     return value
+
+
+def _real_scalar(value) -> bool:
+    """A real number, or a 0-d array of one (what numpy returns for a 0-d input)."""
+    if isinstance(value, np.ndarray):
+        return value.ndim == 0 and value.dtype.kind in "biuf"
+    return isinstance(value, numbers.Real)
 
 
 def _invalid(w: WeightFunction, bad) -> WeightValidityError:

@@ -1,7 +1,10 @@
 """Command-line behavior: payload shapes, determinism, and exit codes."""
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -183,10 +186,22 @@ def test_measure_beyond_the_float_range(capsys):
          "--design", "srs", "--n", "2"],
     )
     assert (code, payload) == (0, {"value": "-inf", "quadrature_error": "inf"})
-    code = run_command(["measure", "--dist", "exp:1e308", "--weight", "power:1e308",
-                        "--variant", "residual", "--design", "minrssu", "--n", "3"])
-    assert code == 3
-    assert capsys.readouterr().err == "divergent computation: math range error\n"
+
+
+@pytest.mark.parametrize(
+    "dist, weight, n, value",
+    [("exp:1e308", "power:1e308", "3", -0.0),
+     # the exact value 48/(201^2 202^2 203^2 204 205)/2 is a float; Gamma(201) is not
+     ("uniform:0,1", "power:200", "2", -48 / (201**2 * 202**2 * 203**2 * 204 * 205) / 2)],
+)
+def test_measure_omits_a_closed_form_beyond_the_float_range(capsys, dist, weight, n, value):
+    code, payload = run_json(
+        capsys,
+        ["measure", "--dist", dist, "--weight", weight, "--variant", "residual", "--design", "minrssu", "--n", n],
+    )
+    assert code == 0 and list(payload) == ["value", "quadrature_error"]
+    assert payload["value"] == pytest.approx(value, rel=1e-8, abs=0.0)
+    assert abs(payload["value"] - value) <= payload["quadrature_error"]
 
 
 def test_rejected_measure_combination(capsys):
@@ -230,3 +245,44 @@ def test_readme_commands_run(tmp_path, capsys):
             at = argv.index("--out") + 1
             argv[at] = str(tmp_path / argv[at])
         assert run_command(argv) == 0, argv
+
+
+_IMPORT_GUARD = """
+import json
+import sys
+
+from gwextropy import estimators
+from gwextropy.cli import run_command
+
+csv = sys.argv[1]
+commands = [
+    ["measure", "--dist", "exp:1", "--weight", "power:1", "--variant", "residual", "--design", "minrssu", "--n", "3"],
+    ["verify"],
+    ["estimate", "--input", csv, "--variant", "residual", "--style", "kernel", "--kernel", "gaussian"],
+    ["simulate", "--dist", "uniform:0,1", "--design", "minrssu", "--n", "4"],
+    ["converge", "--dist", "uniform:0,1", "--variant", "past", "--design", "maxrssu", "--sizes", "10,20", "--seeds", "2"],
+]
+codes = [run_command([*argv, "--out", csv + ".out"]) for argv in commands]
+packages = sorted(name for name, module in sys.modules.items()
+                  if name.split(".")[0] == "scipy" and hasattr(module, "__path__"))
+ufuncs = sys.modules.get("scipy.special._special_ufuncs")
+print(json.dumps([codes, packages, estimators._ndtr is getattr(ufuncs, "ndtr", None)]))
+"""
+
+
+def test_commands_never_import_the_scipy_subpackages(tmp_path):
+    # QUADPACK and ndtr come from their extension modules, so no scipy
+    # subpackage init (most of a command's cold start) may creep back in.
+    # QUADPACK's own callback set-up imports scipy and scipy._lib, which are
+    # light; a scipy without _special_ufuncs.ndtr imports scipy.special.
+    csv = tmp_path / "observations.csv"
+    csv.write_text("".join(f"{float(v)!r}\n" for v in np.random.default_rng(3).exponential(size=50)))
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, str(csv)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes, packages, ndtr_in_extension = json.loads(proc.stdout)
+    assert codes == [0, 0, 0, 0, 0]
+    assert "scipy.integrate" not in packages
+    if ndtr_in_extension:
+        assert set(packages) <= {"scipy", "scipy._lib"}

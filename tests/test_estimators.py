@@ -115,6 +115,17 @@ def test_smoothed_cdf_blocks_keep_shape_and_bits(monkeypatch, block):
     assert type(smoothed_cdf(values, "gaussian", 0.4, 0.7)) is float
 
 
+def test_gaussian_integrated_kernel_is_scipy_ndtr():
+    # the kernel takes ndtr from scipy.special's private extension module; a
+    # scipy release that moves or changes it must fail here
+    from scipy.special import ndtr
+
+    L = _integrated_kernel("gaussian")
+    assert L is ndtr and _integrated_kernel("gaussian") is L
+    grid = np.linspace(-40.0, 40.0, 16001)
+    assert L(grid).tobytes() == ndtr(grid).tobytes()
+
+
 def test_epanechnikov_integrated_kernel_closed_form():
     # L(t) = 0.5 + 0.75 t - 0.25 t^3 on [-1, 1], clamped outside
     values = np.array([0.0])

@@ -117,6 +117,19 @@ def test_registry_scope():
     assert single == pytest.approx(-1 / 8)
 
 
+def test_registry_returns_none_beyond_the_float_range():
+    # Gamma(201), Gamma(1e308 + 1) and 171! overflow although the uniform
+    # value is a float; (2 * 1e-300)^3 rounds to 0 and would divide by it
+    w200 = gx.power_weight(200.0)
+    assert closed_form(gx.uniform(), w200, MeasureSpec(RESIDUAL, MIN_RSSU, 2)) is None
+    assert closed_form(gx.exponential(1e308), gx.power_weight(1e308), MeasureSpec(RESIDUAL, MIN_RSSU, 3)) is None
+    assert closed_form(gx.exponential(1.0), gx.power_weight(1.0), MeasureSpec(RESIDUAL, MIN_RSSU, 171)) is None
+    assert closed_form(gx.exponential(1e-300), gx.power_weight(2.0), MeasureSpec(RESIDUAL, MIN_RSSU, 1)) is None
+    # Gamma(101) Gamma(3) / Gamma(104) = 2 / (101 * 102 * 103) stays in range
+    value = closed_form(gx.uniform(), gx.power_weight(100.0), MeasureSpec(RESIDUAL, MIN_RSSU, 1))
+    assert value == pytest.approx(-1.0 / (101 * 102 * 103), rel=1e-13)
+
+
 def test_nonpositivity():
     dists = [gx.uniform(), gx.uniform(0.5, 2.0), gx.exponential(1.0), gx.power_survival(2.0)]
     safe_w = gx.exp_decay_weight(0.7)

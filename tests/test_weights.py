@@ -89,6 +89,26 @@ def test_eval_weight_returns_float_for_scalars_and_arrays_for_arrays():
 
 
 @pytest.mark.parametrize(
+    "fn, shown",
+    [(lambda x: "1.5", "'1.5'"), (lambda x: [x, x], "[1.0, 1.0]"), (lambda x: None, "None"),
+     (lambda x: 1 + 2j, "(1+2j)"), (lambda x: np.asarray("2"), "array('2', dtype='<U1')")],
+)
+def test_directly_built_weight_must_return_a_real_number_for_a_scalar(fn, shown):
+    # a WeightFunction built without custom_weight reaches the scalar branch
+    # with its raw output: strings are not read as numbers
+    w = gx.WeightFunction(fn, "custom", label="direct")
+    message = f"weight 'direct' produced {shown} for a scalar input, not a real number"
+    with pytest.raises(WeightValidityError, match=f"^{re.escape(message)}$"):
+        gx.eval_weight(w, 1.0)
+
+
+def test_directly_built_weight_accepts_real_numbers_and_0d_numeric_arrays():
+    for out in (2, True, np.float32(2.5), np.int64(3), np.asarray(4), np.asarray(4.5, np.float32)):
+        value = gx.eval_weight(gx.WeightFunction(lambda x, out=out: out, "custom"), 1.0)
+        assert type(value) is float and value == float(out)
+
+
+@pytest.mark.parametrize(
     "fn, x, message",
     [
         (lambda x: [x, x], 1.0, "weight 'bad' produced shape (2,) for an input of shape ()"),

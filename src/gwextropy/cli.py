@@ -8,9 +8,10 @@ Exit codes: 0 success, 1 a theorem conclusion failed under passing
 hypotheses, 2 usage or specification errors, 3 divergent computation or a
 float overflow (Python's float ** and math functions raise OverflowError).
 
-Numbers in JSON are rounded to 12 significant digits; CSV uses the shortest
-round-trip representation. Reruns with identical flags produce byte-identical
-output; converge rows are sorted by (sample_size, seed).
+Numbers in JSON are rounded to 12 significant digits, and non-finite ones are
+the strings "inf", "-inf" and "nan"; CSV uses the shortest round-trip
+representation. Reruns with identical flags produce byte-identical output;
+converge rows are sorted by (sample_size, seed).
 """
 
 from __future__ import annotations
@@ -56,11 +57,8 @@ _SAMPLING_DESIGNS = ["srs", "minrssu", "maxrssu"]
 _VARIANTS = {"past": PAST, "residual": RESIDUAL}
 
 
-def _sig12(x: float) -> float:
-    return float(f"{x:.12g}")
-
-
 def _json_number(x):
+    """x to 12 significant digits; a non-finite x as a string, which keeps the JSON valid."""
     if x is None:
         return None
     x = float(x)
@@ -68,7 +66,7 @@ def _json_number(x):
         return "nan"
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
-    return _sig12(x)
+    return float(f"{x:.12g}")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -144,16 +142,18 @@ def _cmd_estimate(args) -> int:
     value = run_estimator(values, cfg, include_head=args.include_head)
     config_payload = {
         "variant": cfg.variant,
-        "m": _sig12(cfg.m),
+        "m": _json_number(cfg.m),
         "style": cfg.style,
         "include_head": bool(args.include_head),
         "observations": int(values.size),
     }
     if cfg.style == "kernel":
         config_payload["kernel"] = cfg.kernel
-        config_payload["bandwidth"] = cfg.bandwidth if isinstance(cfg.bandwidth, str) else _sig12(cfg.bandwidth)
-        config_payload["bandwidth_resolved"] = _sig12(resolve_bandwidth(values, cfg))
-    payload = {"value": _sig12(value), "config": config_payload}
+        config_payload["bandwidth"] = (
+            cfg.bandwidth if isinstance(cfg.bandwidth, str) else _json_number(cfg.bandwidth)
+        )
+        config_payload["bandwidth_resolved"] = _json_number(resolve_bandwidth(values, cfg))
+    payload = {"value": _json_number(value), "config": config_payload}
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
 

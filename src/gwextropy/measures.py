@@ -10,9 +10,10 @@ density-at-quantile f(Q(u)):
 Sampling designs replace the single expectation by powers or products:
 SRS raises the expectation to the design size n, maxRSSU (past) multiplies
 E[Psi_i] with Psi_i = u^{2i} w/f over i = 1..n, and minRSSU (residual)
-multiplies E[Phi_i] with Phi_i = (1-u)^{2i} w/f. A registry of closed forms
-for the uniform, exponential, and power-survival families with power weights
-serves as an independent oracle; quadrature is always the computed path.
+multiplies E[Phi_i] with Phi_i = (1-u)^{2i} w/f, so Lambda = Psi_1 and
+Delta = Phi_1. A registry of closed forms for the uniform, exponential, and
+power-survival families with power weights serves as an independent oracle;
+quadrature is always the computed path.
 """
 
 from __future__ import annotations
@@ -38,14 +39,12 @@ MAX_RSSU = "maxRSSU"
 VARIANTS = (PAST, RESIDUAL, PLAIN)
 DESIGNS = (SINGLE, SRS, MIN_RSSU, MAX_RSSU)
 
-LAMBDA = "Lambda"
-DELTA = "Delta"
 PSI_I = "Psi_i"
 PHI_I = "Phi_i"
 DELTA_GWJ = "delta_gwj"
 
 _INDEXED_KINDS = (PSI_I, PHI_I)
-_KINDS = (LAMBDA, DELTA, PSI_I, PHI_I, DELTA_GWJ)
+_KINDS = (PSI_I, PHI_I, DELTA_GWJ)
 
 
 @dataclass(frozen=True)
@@ -132,9 +131,8 @@ def make_integrand(
 
         return integrand
 
-    # Lambda and Delta are the i = 1 members of Psi_i and Phi_i.
-    exponent = 2 * (kind.order_index or 1)
-    survival_side = kind.kind in (DELTA, PHI_I)
+    exponent = 2 * kind.order_index
+    survival_side = kind.kind == PHI_I
 
     def integrand(u: float) -> float:
         base = (1.0 - u) if survival_side else u

@@ -166,13 +166,6 @@ def _finite_or_raise(values: np.ndarray, u: np.ndarray) -> np.ndarray:
     return values
 
 
-def _require_origin_support(d: Distribution, kind: str) -> None:
-    if d.support_lower != 0.0:
-        raise DomainError(
-            f"the {kind} order check needs supports starting at 0, got {d.support_lower}"
-        )
-
-
 def check_order(kind: str, dX: Distribution, dY: Distribution, grid_points: int = 257) -> OrderVerdict:
     """Grid certificate for X <=_kind Y; worst_violation is the smallest margin."""
     if kind not in ORDER_KINDS:
@@ -183,6 +176,12 @@ def check_order(kind: str, dX: Distribution, dY: Distribution, grid_points: int 
     if dX is dY:
         # The defining maps coincide identically, so every margin is exactly 0.
         return OrderVerdict(kind, True, grid_points, 0.0)
+    if kind in (STAR, SUPERADDITIVE):
+        for d in (dX, dY):
+            if d.support_lower != 0.0:
+                raise DomainError(
+                    f"the {kind} order check needs supports starting at 0, got {d.support_lower}"
+                )
 
     u = _interior_grid(grid_points)
     used = grid_points
@@ -200,14 +199,10 @@ def check_order(kind: str, dX: Distribution, dY: Distribution, grid_points: int 
         slopes = np.diff(h) / dx
         margins = np.diff(slopes)
     elif kind == STAR:
-        _require_origin_support(dX, kind)
-        _require_origin_support(dY, kind)
         x = _finite_or_raise(quantile(dX, u), u)
         h = _finite_or_raise(quantile(dY, u), u)
         margins = np.diff(h / x)
     else:
-        _require_origin_support(dX, kind)
-        _require_origin_support(dY, kind)
         used = min(grid_points, 64)
         u = _interior_grid(used)
         x = _finite_or_raise(quantile(dX, u), u)
@@ -269,17 +264,6 @@ def _measure_extended(sequences: dict, d: Distribution, w: WeightFunction, spec:
         return -math.inf
 
 
-def _claim_margin(lhs: float, rhs: float) -> tuple[float, str]:
-    """Margin of the claim lhs >= rhs with divergent sides as -inf."""
-    if math.isinf(lhs) and math.isinf(rhs):
-        return 0.0, "both sides diverge to -inf; equal in the extended reals"
-    if math.isinf(rhs):
-        return math.inf, "right side diverges to -inf"
-    if math.isinf(lhs):
-        return -math.inf, "left side diverges to -inf"
-    return lhs - rhs, ""
-
-
 def _finish(
     theorem_id: str,
     subject: str,
@@ -307,77 +291,87 @@ def _finish(
     )
 
 
-def _x_range(*dists: Distribution) -> tuple[float, float]:
-    lo = min(d.support_lower for d in dists)
-    hi = max(float(quantile(d, 0.995)) for d in dists)
-    return lo, hi
+def _compare(
+    sequences: dict,
+    theorem_id: str,
+    subject: str,
+    hypotheses: list[HypothesisCheck],
+    lhs: tuple,
+    rhs: tuple,
+    note: str = "",
+    swap: bool = False,
+) -> TheoremReport:
+    """Report on the claim lhs >= rhs, each side a (d, w, spec) triple whose
+    measure counts as -inf when it diverges. The sides are measured in argument
+    order; swap claims rhs >= lhs without changing that order."""
+    left = _measure_extended(sequences, *lhs)
+    right = _measure_extended(sequences, *rhs)
+    if swap:
+        left, right = right, left
+    if math.isinf(left) and math.isinf(right):
+        margin, margin_note = 0.0, "both sides diverge to -inf; equal in the extended reals"
+    elif math.isinf(right):
+        margin, margin_note = math.inf, "right side diverges to -inf"
+    elif math.isinf(left):
+        margin, margin_note = -math.inf, "left side diverges to -inf"
+    else:
+        margin, margin_note = left - right, ""
+    note = "; ".join(part for part in (note, margin_note) if part)
+    return _finish(theorem_id, subject, hypotheses, margin, note)
 
 
-def _weight_decreasing_check(w: WeightFunction, lo: float, hi: float) -> HypothesisCheck:
-    margin = -float(np.max(np.diff(_on_grid(w, lo, hi))))
-    return HypothesisCheck(
-        name=f"{w.label} weakly decreasing",
-        passed=margin >= -TOLERANCE,
-        margin=margin,
-        note=f"grid={DEFAULT_GRID_POINTS} on [{lo:g},{hi:g}]",
-    )
+def _margin_check(name: str, margin: float, note: str) -> HypothesisCheck:
+    """A grid hypothesis that holds when its worst margin clears -TOLERANCE."""
+    return HypothesisCheck(name, margin >= -TOLERANCE, margin, note)
 
 
-def _weight_dominated_check(
+def _weight_checks(
     w1: WeightFunction, w2: WeightFunction, lo: float, hi: float
-) -> HypothesisCheck:
+) -> list[HypothesisCheck]:
+    """w1 weakly decreasing and w1 <= w2, on the one grid every weight check reads."""
+    note = f"grid={DEFAULT_GRID_POINTS} on [{lo:g},{hi:g}]"
+    on_w1 = _on_grid(w1, lo, hi)
+    rise = float(np.max(np.diff(on_w1)))
+    decreasing = _margin_check(f"{w1.label} weakly decreasing", -rise, note)
     if w1 is w2:
-        return HypothesisCheck("w1 <= w2", True, 0.0, "w2 is w1")
-    margin = float(np.min(_on_grid(w2, lo, hi) - _on_grid(w1, lo, hi)))
-    return HypothesisCheck(
-        "w1 <= w2", margin >= -TOLERANCE, margin, f"grid={DEFAULT_GRID_POINTS} on [{lo:g},{hi:g}]"
-    )
+        return [decreasing, HypothesisCheck("w1 <= w2", True, 0.0, "w2 is w1")]
+    gap = float(np.min(_on_grid(w2, lo, hi) - on_w1))
+    return [decreasing, _margin_check("w1 <= w2", gap, note)]
 
 
 def _comparison_reports(case: TheoremCase, sequences: dict) -> list[TheoremReport]:
     dX, dY = case.dX, case.dY
     w1 = case.w1
     w2 = case.w2 if case.w2 is not None else case.w1
-    lo, hi = _x_range(dX, dY)
+    lo = min(dX.support_lower, dY.support_lower)
+    hi = max(float(quantile(dX, 0.995)), float(quantile(dY, 0.995)))
 
     disp = check_order(DISP, dX, dY, case.grid_points)
     upper_x, upper_y = dX.support_upper, dY.support_upper
     endpoints_ok = math.isfinite(upper_x) and math.isfinite(upper_y) and upper_x == upper_y
     hypotheses = [
         HypothesisCheck(
-            "equal finite right endpoints",
-            endpoints_ok,
-            None,
-            f"u_X={upper_x:g}, u_Y={upper_y:g}",
+            "equal finite right endpoints", endpoints_ok, None, f"u_X={upper_x:g}, u_Y={upper_y:g}"
         ),
-        _weight_decreasing_check(w1, lo, hi),
-        _weight_dominated_check(w1, w2, lo, hi),
-        HypothesisCheck(
-            "X <=_disp Y", disp.holds_X_le_Y, disp.worst_violation, f"grid={disp.grid}"
-        ),
+        *_weight_checks(w1, w2, lo, hi),
+        _margin_check("X <=_disp Y", disp.worst_violation, f"grid={disp.grid}"),
     ]
-    base_note = (
+    note = (
         ""
         if endpoints_ok
         else "beyond stated hypotheses: right endpoints unequal or infinite; "
         "conclusion computed, not asserted"
     )
-
-    def report(theorem_id: str, spec: MeasureSpec, n_label: str) -> TheoremReport:
-        lhs = _measure_extended(sequences, dX, w1, spec)
-        rhs = _measure_extended(sequences, dY, w2, spec)
-        margin, margin_note = _claim_margin(lhs, rhs)
-        subject = f"X={dX.label} vs Y={dY.label}, w1={w1.label}, w2={w2.label}{n_label}"
-        note = "; ".join(part for part in (base_note, margin_note) if part)
-        return _finish(theorem_id, subject, hypotheses, margin, note)
-
-    reports = [
-        report(T2_PAST, MeasureSpec(PAST, SINGLE, 1), ""),
-        report(T2_RESIDUAL, MeasureSpec(RESIDUAL, SINGLE, 1), ""),
-    ]
+    rows = [(T2_PAST, PAST, SINGLE, 1), (T2_RESIDUAL, RESIDUAL, SINGLE, 1)]
     for n in case.n_values:
-        reports.append(report(T5_MAX, MeasureSpec(PAST, MAX_RSSU, n), f", n={n}"))
-        reports.append(report(T5_MIN, MeasureSpec(RESIDUAL, MIN_RSSU, n), f", n={n}"))
+        rows += [(T5_MAX, PAST, MAX_RSSU, n), (T5_MIN, RESIDUAL, MIN_RSSU, n)]
+    reports = []
+    for theorem_id, variant, design, n in rows:
+        spec = MeasureSpec(variant, design, n)
+        n_label = "" if design == SINGLE else f", n={n}"
+        subject = f"X={dX.label} vs Y={dY.label}, w1={w1.label}, w2={w2.label}{n_label}"
+        sides = (dX, w1, spec), (dY, w2, spec)
+        reports.append(_compare(sequences, theorem_id, subject, hypotheses, *sides, note))
     return reports
 
 
@@ -389,31 +383,23 @@ def _psi_condition_check(
     transformed = eval_weight(w, np.asarray(t.psi(x), float)) * np.asarray(t.psi_prime(x), float)
     delta = transformed - eval_weight(w, x)
     low, high = float(np.min(delta)), float(np.max(delta))
+    name = "w(psi(x))psi'(x) - w(x) single-signed"
     if low >= -TOLERANCE:
-        return "ge", HypothesisCheck(
-            "w(psi(x))psi'(x) - w(x) single-signed", True, low, "sign: >= everywhere"
-        )
+        return "ge", _margin_check(name, low, "sign: >= everywhere")
     if high <= TOLERANCE:
-        return "le", HypothesisCheck(
-            "w(psi(x))psi'(x) - w(x) single-signed", True, -high, "sign: <= everywhere"
-        )
-    return None, HypothesisCheck(
-        "w(psi(x))psi'(x) - w(x) single-signed",
-        False,
-        max(low, -high),
-        f"mixed signs on the grid (min {low:.3e}, max {high:.3e})",
+        return "le", _margin_check(name, -high, "sign: <= everywhere")
+    return None, _margin_check(
+        name, max(low, -high), f"mixed signs on the grid (min {low:.3e}, max {high:.3e})"
     )
 
 
 def _psi_reports(case: TheoremCase, sequences: dict) -> list[TheoremReport]:
     dX, t, w = case.dX, case.transformation, case.w1
+    psi_name = f"psi={t.name} increasing with psi(0)=0"
     try:
         dY = transform(dX, t)
-        psi_check = HypothesisCheck(f"psi={t.name} increasing with psi(0)=0", True, None)
     except (InvalidTransformationError, DomainError) as exc:
-        psi_check = HypothesisCheck(
-            f"psi={t.name} increasing with psi(0)=0", False, None, str(exc)
-        )
+        psi_check = HypothesisCheck(psi_name, False, None, str(exc))
         subject = f"X={dX.label}, Y=psi(X), psi={t.name}, w={w.label}"
         return [
             _finish(tid, subject, [psi_check], math.nan)
@@ -421,30 +407,28 @@ def _psi_reports(case: TheoremCase, sequences: dict) -> list[TheoremReport]:
         ]
 
     side, side_check = _psi_condition_check(dX, t, w, case.grid_points)
-    hypotheses = [psi_check, side_check]
+    hypotheses = [HypothesisCheck(psi_name, True, None), side_check]
+    swap = side == "le"
     reports = []
     for n in case.n_values:
-        for theorem_id, spec in (
-            (T3_PSI, MeasureSpec(PAST, SRS, n)),
-            (T4_MAX_PSI, MeasureSpec(PAST, MAX_RSSU, n)),
-            (T4_MIN_PSI, MeasureSpec(RESIDUAL, MIN_RSSU, n)),
+        for theorem_id, variant, design in (
+            (T3_PSI, PAST, SRS),
+            (T4_MAX_PSI, PAST, MAX_RSSU),
+            (T4_MIN_PSI, RESIDUAL, MIN_RSSU),
         ):
+            spec = MeasureSpec(variant, design, n)
             subject = f"X={dX.label}, Y=psi(X), psi={t.name}, w={w.label}, n={n}"
             if side is None:
                 reports.append(_finish(theorem_id, subject, hypotheses, math.nan))
                 continue
-            mx = _measure_extended(sequences, dX, w, spec)
-            my = _measure_extended(sequences, dY, w, spec)
-            if side == "ge":
-                margin, note = _claim_margin(mx, my)
-            else:
-                margin, note = _claim_margin(my, mx)
-            reports.append(_finish(theorem_id, subject, hypotheses, margin, note))
+            sides = (dX, w, spec), (dY, w, spec)
+            reports.append(_compare(sequences, theorem_id, subject, hypotheses, *sides, swap=swap))
     return reports
 
 
 def _dominance_reports(case: TheoremCase, sequences: dict) -> list[TheoremReport]:
     dX, w = case.dX, case.w1
+    hypotheses = [HypothesisCheck("n >= 2", True, None)]
     reports = []
     for n in case.n_values:
         if n < 2:
@@ -453,29 +437,20 @@ def _dominance_reports(case: TheoremCase, sequences: dict) -> list[TheoremReport
             (T4_MAX_SRS, PAST, MAX_RSSU),
             (T4_MIN_SRS, RESIDUAL, MIN_RSSU),
         ):
-            lhs = _measure_extended(sequences, dX, w, MeasureSpec(variant, design, n))
-            rhs = _measure_extended(sequences, dX, w, MeasureSpec(variant, SRS, n))
-            margin, note = _claim_margin(lhs, rhs)
+            lhs = (dX, w, MeasureSpec(variant, design, n))
+            rhs = (dX, w, MeasureSpec(variant, SRS, n))
             subject = f"X={dX.label}, w={w.label}, n={n}"
-            reports.append(
-                _finish(theorem_id, subject, [HypothesisCheck("n >= 2", True, None)], margin, note)
-            )
+            reports.append(_compare(sequences, theorem_id, subject, hypotheses, lhs, rhs))
     return reports
 
 
 def _monotone_reports(case: TheoremCase, sequences: dict) -> list[TheoremReport]:
     dX, w = case.dX, case.w1
     u = _interior_grid(case.grid_points)
-    ratio = eval_weight(w, np.asarray(quantile(dX, u), float)) / np.asarray(
-        pdf_at_quantile(dX, u), float
-    )
+    x = np.asarray(quantile(dX, u), float)
+    ratio = eval_weight(w, x) / np.asarray(pdf_at_quantile(dX, u), float)
     ratio_margin = 1.0 - float(np.max(ratio))
-    ratio_check = HypothesisCheck(
-        "w(Q(u))/f(Q(u)) <= 1",
-        ratio_margin >= -TOLERANCE,
-        ratio_margin,
-        f"grid={case.grid_points}",
-    )
+    ratio_check = _margin_check("w(Q(u))/f(Q(u)) <= 1", ratio_margin, f"grid={case.grid_points}")
     n_lo, n_hi = min(case.n_values), max(case.n_values)
     subject = f"X={dX.label}, w={w.label}, n={n_lo}..{n_hi}"
     reports = []

@@ -86,22 +86,18 @@ def exp_decay_weight(a: float) -> WeightFunction:
 
 
 def custom_weight(fn: Callable, monotonicity_hint: str = UNKNOWN, label: str = "custom") -> WeightFunction:
-    """Wrap an arbitrary callable; nonnegativity is enforced at evaluation."""
+    """An arbitrary callable as a weight; eval_weight checks what it returns."""
     if monotonicity_hint not in (INCREASING, DECREASING, UNKNOWN):
         raise DomainError(f"unknown monotonicity hint {monotonicity_hint!r}")
-
-    def _eval(x):
-        value = fn(x)
-        try:
-            return np.asarray(value, float)
-        except (TypeError, ValueError):
-            raise WeightValidityError(f"weight {label!r} produced a non-numeric value {value!r}") from None
-
-    return WeightFunction(_eval, CUSTOM, monotonicity_hint, (), label)
+    return WeightFunction(fn, CUSTOM, monotonicity_hint, (), label)
 
 
 def eval_weight(w: WeightFunction, x):
-    """w(x), checked nonnegative; scalar in, float out; array in, array out."""
+    """w(x), checked nonnegative; scalar in, float out; array in, array out.
+
+    The weight must return real numbers (bool, int, uint or float) in the
+    shape of x, finite and >= 0; anything else raises WeightValidityError.
+    """
     value = w.eval(x)
     # A scalar is checked as a float: quadrature calls this once per node, and
     # numpy reductions on a 0-d array cost several microseconds each.
@@ -111,10 +107,14 @@ def eval_weight(w: WeightFunction, x):
             if not (math.isfinite(value) and value >= 0.0):
                 raise _invalid(w, value)
             return value
-        # An array of another shape gets the shape check below.
-        if not isinstance(value, np.ndarray) or value.ndim == 0:
-            raise WeightValidityError(f"weight {w.label!r} produced {value!r} for a scalar input, not a real number")
-    value = np.asarray(value, float)
+    # Any other output for a scalar gets the dtype and shape checks below.
+    try:
+        array = np.asarray(value)
+    except (TypeError, ValueError):  # e.g. a ragged list
+        array = None
+    if array is None or array.dtype.kind not in "biuf":
+        raise WeightValidityError(f"weight {w.label!r} produced a non-numeric value {value!r}")
+    value = array.astype(float, copy=False)
     if value.shape != np.shape(x):
         raise WeightValidityError(
             f"weight {w.label!r} produced shape {value.shape} for an input of shape {np.shape(x)}"

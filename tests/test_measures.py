@@ -204,6 +204,17 @@ def test_spec_validation():
         MeasureSpec("sideways", SRS, 1)
 
 
+def test_integrand_kinds_are_the_indexed_factors_and_delta_gwj():
+    # Lambda and Delta are Psi_1 and Phi_1, not kinds of their own
+    for name in ("Lambda", "Delta"):
+        with pytest.raises(DomainError, match=f"^unknown integrand kind '{name}'$"):
+            measures.IntegrandKind(name)
+    with pytest.raises(DomainError, match="needs order_index >= 1"):
+        measures.IntegrandKind(measures.PSI_I)
+    with pytest.raises(DomainError, match="takes no order_index"):
+        measures.IntegrandKind(measures.DELTA_GWJ, 1)
+
+
 def test_plain_variant_is_gwj():
     d, w = gx.uniform(), gx.power_weight(1.0)
     report = measure_report(d, w, MeasureSpec(PLAIN, SINGLE, 1))

@@ -7,7 +7,7 @@ import pytest
 
 import gwextropy as gx
 from gwextropy import measures, orders
-from gwextropy.errors import DomainError
+from gwextropy.errors import DomainError, WeightValidityError
 from gwextropy.orders import (
     CONVEX_TRANSFORM,
     DISP,
@@ -256,6 +256,26 @@ def test_transform_failure_is_reported_not_raised():
         assert not r.hypotheses_ok
         assert not r.gated_failure
         assert math.isnan(r.conclusion_margin)
+
+
+def test_psi_claim_with_the_le_sign_measures_x_before_psi_x():
+    # w(x) = x^-3 has w(psi(x))psi'(x) <= w(x) for psi = e^x - 1, so the claim
+    # reads measure(psi(X)) >= measure(X). w is invalid off the grid, on
+    # (0.997, 1] and above 1.709, where the first quadrature pass reaches for
+    # X (x = 0.9978) and for psi(X) alike: the error must still come from X,
+    # the side measured first whichever way the claim points
+    def w(x):
+        x = np.asarray(x, float)
+        return np.where(((x > 0.997) & (x <= 1.0)) | (x > 1.709), -x - 1.0, x**-3.0)
+
+    case = TheoremCase(
+        dX=U01,
+        w1=gx.custom_weight(w, label="cubic"),
+        transformation=gx.EXP_MINUS_ONE,
+        n_values=(1,),
+    )
+    with pytest.raises(WeightValidityError, match=r"invalid value -1\.997"):
+        run_theorem_suite([case])
 
 
 def test_suite_integrates_each_factor_once(monkeypatch):

@@ -1,6 +1,7 @@
 """Property tests over the spec grammar: any string built from its tokens
-parses or raises ParseError, and a measure command on specs that parse ends
-in a documented exit code.
+parses or raises ParseError, and the measure, simulate, estimate and converge
+commands on grammar-built arguments end in a documented exit code and print
+only valid JSON (non-finite numbers as strings, never NaN or Infinity).
 
 Kept apart from the other modules so that without hypothesis installed only
 this module fails to collect.
@@ -8,8 +9,10 @@ this module fails to collect.
 
 import contextlib
 import io
+import json
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -80,6 +83,22 @@ def test_token_strings_parse_or_raise_parse_error(text):
     _parses(parse_weight, text)
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not a JSON number")
+
+
+def _run(argv, prints_json=False):
+    """run_command in process: it must end in exit code 0, 2 or 3, and JSON
+    output must parse with NaN and Infinity rejected."""
+    out, err = io.StringIO(), io.StringIO()
+    with np.errstate(all="ignore"), contextlib.redirect_stdout(out):
+        with contextlib.redirect_stderr(err):
+            code = run_command(argv)
+    assert code in (0, 2, 3)
+    if prints_json and code == 0:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(
     dist=_dists(broken=False),
@@ -96,6 +115,85 @@ def test_measure_on_specs_that_parse_ends_in_an_exit_code(dist, weight, variant,
     if not (_parses(parse_distribution, dist) and _parses(parse_weight, weight)):
         return
     argv = ["measure", "--dist", dist, "--weight", weight, "--variant", variant, "--design", design, "--n", str(n)]
-    with np.errstate(all="ignore"), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = run_command(argv)
-    assert code in (0, 2, 3)
+    _run(argv, prints_json=True)
+
+
+DESIGNS = st.sampled_from(["srs", "minrssu", "maxrssu"])
+VARIANTS = st.sampled_from(["past", "residual"])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    dist=_dists(broken=False),
+    design=DESIGNS,
+    n=st.sampled_from(["-1", "0", "1", "2", "7", "30", "x"]),
+    seed=st.sampled_from(["0", "7", "-1", "18446744073709551616"]),
+    literal=st.booleans(),
+)
+@example(dist="exp:5e-324", design="minrssu", n="7", seed="0", literal=True)
+def test_simulate_ends_in_an_exit_code(dist, design, n, seed, literal):
+    argv = ["simulate", "--dist", dist, "--design", design, "--n", n, f"--seed={seed}"]
+    _run(argv + ["--literal-extremes"] * literal)
+
+
+@pytest.fixture(scope="module")
+def observations(tmp_path_factory):
+    return tmp_path_factory.mktemp("estimate") / "observations.csv"
+
+
+# observation files: an optional header, then plain or indexed rows (a row
+# that is no number among them), or one value repeated; may be empty
+rows = st.lists(st.tuples(st.booleans(), numbers | st.just("x")), max_size=6).map(
+    lambda pairs: [f"{i},{v}" if indexed else v for i, (indexed, v) in enumerate(pairs, 1)]
+)
+constant = st.tuples(numbers, st.integers(2, 4)).map(lambda pair: [pair[0]] * pair[1])
+csv_text = st.builds(
+    lambda head, body: "".join(line + "\n" for line in head + body),
+    st.sampled_from([[], ["value"], ["i,value"]]),
+    rows | constant,
+)
+
+
+# a well-formed estimate; the explicit examples below change one or two flags
+PROBE = dict(text="1\n2\n4\n", variant="past", m="1", style="step", kernel="gaussian")
+PROBE |= dict(bandwidth="silverman", head=False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    text=csv_text,
+    variant=VARIANTS,
+    m=numbers,
+    style=st.sampled_from(["step", "kernel"]),
+    kernel=st.sampled_from(["gaussian", "epanechnikov"]),
+    bandwidth=numbers | st.sampled_from(["silverman", "wide"]),
+    head=st.booleans(),
+)
+@example(**(PROBE | {"m": "inf"}))
+@example(**(PROBE | {"m": "1e308"}))
+@example(**(PROBE | {"style": "kernel", "bandwidth": "1e-320", "head": True}))
+@example(**(PROBE | {"text": ""}))
+def test_estimate_ends_in_an_exit_code_and_prints_valid_json(
+    observations, text, variant, m, style, kernel, bandwidth, head
+):
+    observations.write_text(text)
+    argv = ["estimate", "--input", str(observations), "--variant", variant, f"--m={m}"]
+    argv += ["--style", style, "--kernel", kernel, f"--bandwidth={bandwidth}"]
+    argv += ["--include-head"] * head
+    _run(argv, prints_json=True)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    dist=_dists(broken=False),
+    m=numbers,
+    variant=VARIANTS,
+    design=DESIGNS,
+    sizes=st.lists(st.sampled_from(["2", "5", "50", "1", "-3", "x", ""]), min_size=1, max_size=3),
+    seeds=st.integers(-1, 3),
+    seed=st.sampled_from(["0", "-5", "18446744073709551616"]),
+)
+@example(dist="exp:1", m="1", variant="past", design="srs", sizes=["5"], seeds=0, seed="0")
+def test_converge_ends_in_an_exit_code(dist, m, variant, design, sizes, seeds, seed):
+    argv = ["converge", "--dist", dist, f"--m={m}", "--variant", variant, "--design", design]
+    _run(argv + [f"--sizes={','.join(sizes)}", "--seeds", str(seeds), f"--seed={seed}"])

@@ -94,12 +94,43 @@ def test_eval_weight_returns_float_for_scalars_and_arrays_for_arrays():
      (lambda x: 1 + 2j, "(1+2j)"), (lambda x: np.asarray("2"), "array('2', dtype='<U1')")],
 )
 def test_directly_built_weight_must_return_a_real_number_for_a_scalar(fn, shown):
-    # a WeightFunction built without custom_weight reaches the scalar branch
-    # with its raw output: strings are not read as numbers
+    # a WeightFunction built without custom_weight gets the same checks and
+    # messages: strings are not read as numbers, and a sequence has a shape
     w = gx.WeightFunction(fn, "custom", label="direct")
-    message = f"weight 'direct' produced {shown} for a scalar input, not a real number"
+    message = f"weight 'direct' produced a non-numeric value {shown}"
+    if shown == "[1.0, 1.0]":
+        message = "weight 'direct' produced shape (2,) for an input of shape ()"
     with pytest.raises(WeightValidityError, match=f"^{re.escape(message)}$"):
         gx.eval_weight(w, 1.0)
+
+
+def _direct(fn, label):
+    return gx.WeightFunction(fn, "custom", label=label)
+
+
+@pytest.mark.parametrize("build", [gx.custom_weight, _direct])
+@pytest.mark.parametrize(
+    "fn, x, shown",
+    [
+        (lambda x: "1.5", 1.0, "'1.5'"),
+        (lambda x: "1.5", np.zeros(2), "'1.5'"),
+        (lambda x: np.array(["1.5"] * len(x)), np.zeros(2), "array(['1.5', '1.5'], dtype='<U3')"),
+        (lambda x: np.full(np.shape(x), None), np.zeros(2), "array([None, None], dtype=object)"),
+        (lambda x: [1.0, [2.0]], np.zeros(2), "[1.0, [2.0]]"),
+    ],
+)
+def test_non_numeric_outputs_raise_one_message_however_the_weight_is_built(build, fn, x, shown):
+    w = build(fn, label="odd")
+    message = f"weight 'odd' produced a non-numeric value {shown}"
+    with pytest.raises(WeightValidityError, match=f"^{re.escape(message)}$"):
+        gx.eval_weight(w, x)
+
+
+def test_custom_weight_returns_the_callable_unwrapped():
+    fn = lambda x: np.exp(-np.asarray(x, float))  # noqa: E731
+    w = gx.custom_weight(fn, "decreasing", "e")
+    assert w.eval is fn
+    assert (w.family_tag, w.monotonicity_hint, w.label) == ("custom", "decreasing", "e")
 
 
 def test_directly_built_weight_accepts_real_numbers_and_0d_numeric_arrays():

@@ -11,6 +11,7 @@ as a quantile function plus density-at-quantile.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -23,6 +24,18 @@ EXPONENTIAL = "exponential"
 POWER_SURVIVAL = "power_survival"
 TRANSFORMED = "transformed"
 CUSTOM = "custom"
+
+# Distributions built by the factories below whose quantile and
+# pdf_at_quantile return, on an array of levels, bit for bit the floats they
+# return one level at a time; measures evaluates these a quadrature panel at
+# a time. Membership is by identity: a Distribution built directly, even with
+# a family tag from here, is not in it.
+_ARRAY_EXACT: weakref.WeakSet = weakref.WeakSet()
+
+
+def _array_exact(d: Distribution) -> Distribution:
+    _ARRAY_EXACT.add(d)
+    return d
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,7 +116,7 @@ def uniform(a: float = 0.0, b: float = 1.0) -> Distribution:
         raise DomainError(f"uniform needs b > a, got ({a}, {b})")
     width = b - a
 
-    return Distribution(
+    return _array_exact(Distribution(
         family_tag=UNIFORM,
         support_lower=a,
         support_upper=b,
@@ -115,7 +128,7 @@ def uniform(a: float = 0.0, b: float = 1.0) -> Distribution:
         pdf_at_quantile=lambda u: np.full_like(np.asarray(u, float), 1.0 / width),
         params=(a, b),
         label=f"uniform:{a:g},{b:g}",
-    )
+    ))
 
 
 def exponential(rate: float) -> Distribution:
@@ -132,7 +145,7 @@ def exponential(rate: float) -> Distribution:
         x = np.asarray(x, float)
         return np.where(x >= 0.0, rate * np.exp(-rate * np.maximum(x, 0.0)), 0.0)
 
-    return Distribution(
+    return _array_exact(Distribution(
         family_tag=EXPONENTIAL,
         support_lower=0.0,
         support_upper=math.inf,
@@ -142,7 +155,7 @@ def exponential(rate: float) -> Distribution:
         pdf_at_quantile=lambda u: rate * (1.0 - np.asarray(u, float)),
         params=(rate,),
         label=f"exp:{rate:g}",
-    )
+    ))
 
 
 def power_survival(b: float) -> Distribution:
@@ -294,7 +307,7 @@ def transform(d: Distribution, t: Transformation) -> Distribution:
             dens = d.pdf(x) / np.asarray(t.psi_prime(x), float)
             return np.where(inside, dens, 0.0)
 
-    return Distribution(
+    y = Distribution(
         family_tag=TRANSFORMED,
         support_lower=lower,
         support_upper=upper,
@@ -304,6 +317,9 @@ def transform(d: Distribution, t: Transformation) -> Distribution:
         pdf_at_quantile=pdf_at_quantile_y,
         label=f"transform:{t.name}({d.label})",
     )
+    if d in _ARRAY_EXACT and (t is EXP_MINUS_ONE or t is IDENTITY):
+        return _array_exact(y)
+    return y
 
 
 def _identity_psi(x):

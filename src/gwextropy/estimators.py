@@ -50,8 +50,8 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.variant not in (PAST, RESIDUAL):
             raise DomainError(f"variant must be past or residual, got {self.variant!r}")
-        if not self.m > 0:
-            raise DomainError(f"weight exponent m must be > 0, got {self.m!r}")
+        if not 0 < self.m < np.inf:
+            raise DomainError(f"weight exponent m must be finite and > 0, got {self.m!r}")
         if self.style not in (STEP, KERNEL):
             raise DomainError(f"style must be step or kernel, got {self.style!r}")
         if self.kernel not in (GAUSSIAN, EPANECHNIKOV):
@@ -59,8 +59,8 @@ class EstimatorConfig:
         if isinstance(self.bandwidth, str):
             if self.bandwidth != SILVERMAN:
                 raise BandwidthError(f"unknown bandwidth rule {self.bandwidth!r}")
-        elif not self.bandwidth > 0:
-            raise BandwidthError(f"bandwidth must be positive, got {self.bandwidth!r}")
+        elif not 0 < self.bandwidth < np.inf:
+            raise BandwidthError(f"bandwidth must be finite and positive, got {self.bandwidth!r}")
 
 
 def _observations(sample) -> np.ndarray:
@@ -80,6 +80,14 @@ def _plug_in(
 ) -> float:
     """Cell sum of the shared skeleton, given the CDF value of each cell."""
     m = cfg.m
+    # values is sorted, so x^(m+1) is largest at its last entry; a Python
+    # float power raises where numpy's would warn and return inf.
+    try:
+        float(values[-1]) ** (m + 1.0)
+    except OverflowError:
+        raise DomainError(
+            f"x^(m+1) overflows for m = {m!r} at the largest observation {float(values[-1])!r}"
+        ) from None
     weights = cdf**2 if cfg.variant == PAST else (1.0 - cdf) ** 2
     powers = values ** (m + 1.0)
     diffs = powers[1:] - powers[:-1]

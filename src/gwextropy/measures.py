@@ -22,9 +22,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
+from .distributions import _ARRAY_EXACT as _EXACT_DISTRIBUTIONS
 from .distributions import EXPONENTIAL, POWER_SURVIVAL, UNIFORM, Distribution
-from .errors import DivergenceError, DomainError
-from .quadrature import DEFAULT_REL_TOL, IntegrationResult, beta, integrate_unit_interval
+from .errors import DivergenceError, DomainError, WeightValidityError
+from .quadrature import DEFAULT_REL_TOL, IntegrationResult, _panel_nodes, beta, integrate_unit_interval
+from .weights import _ARRAY_EXACT as _EXACT_WEIGHTS
 from .weights import POWER, WeightFunction, eval_weight
 
 PAST = "past"
@@ -107,26 +111,69 @@ def make_integrand(
     reads a node's pair from it or computes the pair and adds it. Integrands
     of one distribution and weight that share a map evaluate the weight and
     the density once per node, and return the same floats as without one.
-    Without a map every call computes the pair afresh.
+    Without a map every call computes the pair afresh, one node at a time.
+
+    With a map, a node missing from it is taken as the centre of the QUADPACK
+    panel just started, and one array evaluation adds the pairs of the
+    panel's 21 nodes. Only families whose array evaluation gives the floats
+    of the one-node path bit for bit, built by the library's own factories,
+    are evaluated so: uniform, exponential and their EXP_MINUS_ONE and
+    IDENTITY transforms, with power, constant and exp-decay weights.
+    Power-survival (its density's power rounds differently on arrays),
+    transforms of it, custom and directly built inputs stay one node at a time.
     """
     density = d.pdf_at_quantile
+    name = d.label or d.family_tag
+    by_panel = nodes is not None and d in _EXACT_DISTRIBUTIONS and w in _EXACT_WEIGHTS
+
+    def add_panel(u: float) -> None:
+        panel = _panel_nodes(u)
+        if panel is None:
+            return
+        panel = panel[(panel > 0.0) & (panel < 1.0)]
+        # Any floating-point flag, or a weight that rejects a point, leaves the
+        # whole panel to the one-node path, so each numpy warning and each
+        # error still comes from the node that raises it there.
+        try:
+            with np.errstate(all="raise"):
+                q = d.quantile(panel)
+                wq = eval_weight(w, q)
+                fq = density(panel)
+        except (FloatingPointError, ValueError):
+            return
+        keep = np.isfinite(q) & np.isfinite(fq) & (fq > 0.0)
+        nodes.update(zip(panel[keep].tolist(), zip(wq[keep].tolist(), fq[keep].tolist())))
+
+    # Without a map no node is known: a fresh dict's get always misses.
+    known = {}.get if nodes is None else nodes.get
 
     def kernel(u: float) -> tuple[float, float]:
-        pair = None if nodes is None else nodes.get(u)
-        if pair is None:
-            pair = (eval_weight(w, d.quantile(u)), float(density(u)))
-            # A NaN density passes on to the quadrature's IntegrandError.
-            if pair[1] <= 0.0:
-                name = d.label or d.family_tag
-                raise DomainError(f"density f(Q(u)) of {name} is {pair[1]!r} at u={u!r}; it must be > 0")
-            if nodes is not None:
-                nodes[u] = pair
+        """The pair of a node not in the map."""
+        if by_panel:
+            add_panel(u)
+            pair = nodes.get(u)
+            if pair is not None:
+                return pair
+        q = d.quantile(u)
+        try:
+            wq = eval_weight(w, q)
+        except WeightValidityError as exc:
+            if math.isfinite(q):
+                raise
+            message = f"quantile Q(u) of {name} is {float(q)!r} at u={u!r}; it must be finite"
+            raise DomainError(message) from exc
+        pair = (wq, float(density(u)))
+        # A NaN density passes on to the quadrature's IntegrandError.
+        if pair[1] <= 0.0:
+            raise DomainError(f"density f(Q(u)) of {name} is {pair[1]!r} at u={u!r}; it must be > 0")
+        if nodes is not None:
+            nodes[u] = pair
         return pair
 
     if kind.kind == DELTA_GWJ:
 
         def integrand(u: float) -> float:
-            wq, fq = kernel(u)
+            wq, fq = known(u) or kernel(u)
             return wq * fq
 
         return integrand
@@ -136,7 +183,7 @@ def make_integrand(
 
     def integrand(u: float) -> float:
         base = (1.0 - u) if survival_side else u
-        wq, fq = kernel(u)
+        wq, fq = known(u) or kernel(u)
         return base**exponent * wq / fq
 
     return integrand
@@ -158,7 +205,8 @@ class _FactorSequence:
     """Factors 1, 2, ... of one (distribution, weight, variant), integrated in
     order on first use and kept: E[Psi_i] (past), E[Phi_i] (residual), or the
     single E[w(Q) f(Q)] (plain). Every factor integrand reads and fills the
-    sequence's node map of (w(Q(u)), f(Q(u))) pairs.
+    sequence's node map of (w(Q(u)), f(Q(u))) pairs, a QUADPACK panel at a
+    time for the families make_integrand names and one node at a time else.
 
     The first factor that diverges ends the sequence. The past variant with a
     power weight on an unbounded support diverges from factor 1 on: u -> 1

@@ -62,6 +62,45 @@ def _scipy_extension(subpackage: str, module: str):
 
 _qagse = _scipy_extension("integrate", "_quadpack")._qagse
 
+# dqk21's Kronrod abscissae xgk(1..10) on [-1, 1], as QUADPACK writes them;
+# xgk(11) = 0 is the centre. The even ones are the Gauss abscissae.
+_XGK = (
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+)
+# Offsets of the 21 nodes from the centre in units of the half-length, in the
+# order dqk21 evaluates them: the centre, centre -/+ the Gauss abscissae, then
+# centre -/+ the other Kronrod abscissae.
+_PANEL_OFFSETS = np.array([0.0] + [s * x for x in _XGK[1::2] + _XGK[0::2] for s in (-1.0, 1.0)])
+# dqagse stops once it has bisected a panel about 100 ulps of its centre wide,
+# so the panels it evaluates are at least ~25 ulps wide: a centre lies fewer
+# than 2^48 half-lengths from 0. Two more bits leave a margin.
+_MAX_CENTRE_BITS = 50
+
+
+def _panel_nodes(centre: float) -> np.ndarray | None:
+    """The 21 nodes dqk21 evaluates on the dqagse panel of [0, 1] centred at
+    centre, in that order, or None where centre cannot be a panel centre.
+
+    dqagse bisects [0, 1] exactly, so a panel centre is (2k+1) 2^-(L+1) and
+    the panel's half-length is 2^-(L+1), the centre's lowest set bit. That
+    half-length times an abscissa is exact, so each node is one rounding of
+    centre -/+ hlgth xgk(j), as in dqk21.
+    """
+    numerator, denominator = float(centre).as_integer_ratio()
+    # Below a half-length of 2^-1000, hlgth xgk(j) could round into subnormals.
+    if numerator.bit_length() > _MAX_CENTRE_BITS or denominator.bit_length() > 1000:
+        return None
+    return centre + math.ldexp(1.0, 1 - denominator.bit_length()) * _PANEL_OFFSETS
+
 
 @dataclass(frozen=True)
 class IntegrationResult:

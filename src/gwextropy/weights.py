@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,6 +30,16 @@ NEITHER = "neither"
 UNKNOWN = "unknown"
 
 DEFAULT_GRID_POINTS = 512
+
+# Weights built by the factories below whose eval_weight on an array returns
+# bit for bit the floats it returns one point at a time. Membership is by
+# identity, as for distributions._ARRAY_EXACT.
+_ARRAY_EXACT: weakref.WeakSet = weakref.WeakSet()
+
+
+def _array_exact(w: WeightFunction) -> WeightFunction:
+    _ARRAY_EXACT.add(w)
+    return w
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,7 +65,7 @@ def power_weight(m: float) -> WeightFunction:
             raise DomainError(f"power weight is defined for x >= 0, got {x!r}")
         return arr**m
 
-    return WeightFunction(_eval, POWER, INCREASING, (m,), f"power:{m:g}")
+    return _array_exact(WeightFunction(_eval, POWER, INCREASING, (m,), f"power:{m:g}"))
 
 
 def constant_weight(c: float = 1.0) -> WeightFunction:
@@ -70,7 +81,7 @@ def constant_weight(c: float = 1.0) -> WeightFunction:
     def _eval(x):
         return np.full_like(np.asarray(x, float), c)
 
-    return WeightFunction(_eval, CONSTANT, DECREASING, (c,), f"const:{c:g}")
+    return _array_exact(WeightFunction(_eval, CONSTANT, DECREASING, (c,), f"const:{c:g}"))
 
 
 def exp_decay_weight(a: float) -> WeightFunction:
@@ -82,7 +93,7 @@ def exp_decay_weight(a: float) -> WeightFunction:
     def _eval(x):
         return np.exp(-a * np.asarray(x, float))
 
-    return WeightFunction(_eval, EXP_DECAY, DECREASING, (a,), f"expdecay:{a:g}")
+    return _array_exact(WeightFunction(_eval, EXP_DECAY, DECREASING, (a,), f"expdecay:{a:g}"))
 
 
 def custom_weight(fn: Callable, monotonicity_hint: str = UNKNOWN, label: str = "custom") -> WeightFunction:

@@ -179,6 +179,32 @@ def test_zero_density_is_a_specification_error(capsys, dist, variant, design, la
     assert capsys.readouterr().err == f"error: density f(Q(u)) of {label} is 0.0 at u=0.5; it must be > 0\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["converge", "--dist", "exp:5e-324", "--variant", "residual", "--design", "minrssu", "--sizes", "5",
+      "--seeds", "1"],
+     ["measure", "--dist", "exp:5e-324", "--weight", "power:1", "--variant", "residual"]],
+)
+def test_an_overflowing_quantile_is_blamed_on_the_distribution(capsys, argv):
+    with np.errstate(over="ignore"):
+        assert run_command(argv) == 2
+    message = "quantile Q(u) of exp:4.94066e-324 is inf at u=0.5; it must be finite"
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--m", "inf"], "weight exponent m must be finite and > 0, got inf"),
+     (["--style", "kernel", "--bandwidth", "inf"], "bandwidth must be finite and positive, got inf"),
+     (["--m", "1e308"], "x^(m+1) overflows for m = 1e+308 at the largest observation 3.0")],
+)
+def test_estimate_rejects_infinite_settings_and_power_overflow(tmp_path, capsys, flags, message):
+    path = tmp_path / "obs.csv"
+    path.write_text("1\n2\n3\n")
+    assert run_command(["estimate", "--input", str(path), "--variant", "past", *flags]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_measure_beyond_the_float_range(capsys):
     code, payload = run_json(
         capsys,

@@ -1,6 +1,8 @@
 """Step and kernel estimators: hand values, limits, bandwidth rule, consistency."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +84,26 @@ def test_config_guards():
         EstimatorConfig("past", style="kernel", bandwidth=-0.5)
     with pytest.raises(BandwidthError):
         EstimatorConfig("past", style="kernel", bandwidth="narrow")
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -math.inf])
+def test_config_rejects_a_non_finite_or_non_positive_m_and_bandwidth(value):
+    with pytest.raises(DomainError, match=r"^weight exponent m must be finite and > 0, got "):
+        EstimatorConfig("past", m=value)
+    with pytest.raises(BandwidthError, match=r"^bandwidth must be finite and positive, got "):
+        EstimatorConfig("past", style="kernel", bandwidth=value)
+
+
+@pytest.mark.parametrize("style", ["step", "kernel"])
+def test_power_overflow_is_a_domain_error_without_numpy_warnings(style):
+    cfg = EstimatorConfig("past", m=1e308, style=style, bandwidth=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = "x^(m+1) overflows for m = 1e+308 at the largest observation 3.0"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            gx.estimate(np.array([2.0, 3.0, 1.0]), cfg)
+        # below 1 the powers underflow to 0 instead; that stays a value
+        assert gx.estimate(np.array([0.25, 0.5]), cfg) == 0.0
 
 
 def test_smoothed_cdf_symmetry_cases():

@@ -4,11 +4,13 @@ import math
 import re
 from itertools import product
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import gwextropy as gx
 from gwextropy import measures
+from gwextropy.distributions import EXPONENTIAL
 from gwextropy.errors import DivergenceError, DomainError, IntegrandError
 from gwextropy.measures import (
     MAX_RSSU,
@@ -252,7 +254,11 @@ def test_quadrature_error_bounds_registry_error(m, b):
     assert abs(report.value - closed_form(d, w, spec)) <= report.quadrature_error
 
 
-@pytest.mark.parametrize("dist", ["uniform:0,1", "exp:1", "powersurv:2", "transform:exp_minus_one(exp:1.01)"])
+@pytest.mark.parametrize(
+    "dist",
+    ["uniform:0,1", "uniform:1,3", "exp:1", "powersurv:2", "transform:exp_minus_one(exp:1.01)",
+     "transform:exp_minus_one(uniform:0,1)", "transform:identity(exp:2)"],
+)
 @pytest.mark.parametrize("weight", ["power:1", "expdecay:0.7", "const:1"])
 def test_shared_sequence_matches_fresh_reports(dist, weight):
     # one sequence serves every spec of its variant; the largest RSSU spec
@@ -266,6 +272,14 @@ def test_shared_sequence_matches_fresh_reports(dist, weight):
         shared = _FactorSequence(d, w, variant)
         for spec in specs:
             assert outcome(lambda: shared.report(spec)) == fresh_outcome(d, w, spec)
+        assert_one_node_pairs(shared)
+
+
+def assert_one_node_pairs(sequence):
+    """Every pair in the sequence's node map is the pair the integrand computes for that node alone."""
+    d, w = sequence.d, sequence.w
+    for u, pair in sequence.nodes.items():
+        assert pair == (gx.eval_weight(w, d.quantile(u)), float(d.pdf_at_quantile(u))), u
 
 
 @pytest.mark.parametrize("weight", ["const:1", "power:1"])
@@ -289,12 +303,29 @@ def test_shared_sequence_raises_the_fresh_divergence(weight):
         assert all(o[3] is None and "unbounded support" in o[1] for o in by_spec.values())
 
 
+def test_directly_built_distribution_with_a_prefetched_tag_stays_one_node_at_a_time():
+    # an exponential tag on power-survival callables, whose density rounds
+    # differently on arrays: only the factories mark a family for the prefetch
+    ps = gx.power_survival(0.7)
+    d = gx.Distribution(
+        EXPONENTIAL, 0.0, 1.0, ps.cdf, ps.pdf, ps.quantile, ps.pdf_at_quantile, (1.0,), "direct"
+    )
+    w = gx.power_weight(1.5)
+    shared = _FactorSequence(d, w, RESIDUAL)
+    specs = [MeasureSpec(RESIDUAL, MIN_RSSU, n) for n in range(6, 0, -1)] + [MeasureSpec(RESIDUAL, SRS, 3)]
+    for spec in specs:
+        assert outcome(lambda: shared.report(spec)) == fresh_outcome(d, w, spec)
+    assert_one_node_pairs(shared)
+
+
 def test_sequence_evaluates_the_weight_once_per_node(monkeypatch):
+    # uniform(0, 1) has Q(u) = u, so the weight's points are the nodes
     weigh, integrate = measures.eval_weight, measures.integrate_unit_interval
-    weight_calls, integrand_calls = [], []
+    weight_calls, weighed, integrand_calls = [], [], []
 
     def counting_weight(w, x):
         weight_calls.append(x)
+        weighed.extend(np.atleast_1d(x).tolist())
         return weigh(w, x)
 
     def recording(f):
@@ -307,4 +338,7 @@ def test_sequence_evaluates_the_weight_once_per_node(monkeypatch):
     monkeypatch.setattr(measures, "eval_weight", counting_weight)
     monkeypatch.setattr(measures, "integrate_unit_interval", recording)
     measure_report(gx.uniform(), gx.power_weight(2.0), MeasureSpec(PAST, MAX_RSSU, 5))
-    assert len(weight_calls) == len(set(integrand_calls)) < len(integrand_calls)
+    assert len(weighed) == len(set(weighed))  # no node reaches the weight twice
+    assert set(integrand_calls) <= set(weighed)
+    # a panel's 21 nodes go to the weight in one call
+    assert len(weight_calls) < len(set(integrand_calls)) < len(integrand_calls)

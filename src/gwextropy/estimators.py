@@ -63,7 +63,7 @@ class EstimatorConfig:
             raise BandwidthError(f"bandwidth must be finite and positive, got {self.bandwidth!r}")
 
 
-def _observations(sample) -> np.ndarray:
+def _observations(sample, m: float) -> np.ndarray:
     values = getattr(sample, "values", sample)
     arr = np.sort(np.asarray(values, dtype=float).ravel())
     if arr.size < 2:
@@ -72,6 +72,14 @@ def _observations(sample) -> np.ndarray:
         raise DomainError("observations must be finite")
     if arr[0] < 0:
         raise DomainError(f"power weights need nonnegative observations, got {arr[0]}")
+    # arr is sorted, so x^(m+1) is largest at its last entry; a Python float
+    # power raises where numpy's would warn and return inf.
+    try:
+        float(arr[-1]) ** (m + 1.0)
+    except OverflowError:
+        raise DomainError(
+            f"x^(m+1) overflows for m = {m!r} at the largest observation {float(arr[-1])!r}"
+        ) from None
     return arr
 
 
@@ -80,14 +88,6 @@ def _plug_in(
 ) -> float:
     """Cell sum of the shared skeleton, given the CDF value of each cell."""
     m = cfg.m
-    # values is sorted, so x^(m+1) is largest at its last entry; a Python
-    # float power raises where numpy's would warn and return inf.
-    try:
-        float(values[-1]) ** (m + 1.0)
-    except OverflowError:
-        raise DomainError(
-            f"x^(m+1) overflows for m = {m!r} at the largest observation {float(values[-1])!r}"
-        ) from None
     weights = cdf**2 if cfg.variant == PAST else (1.0 - cdf) ** 2
     powers = values ** (m + 1.0)
     diffs = powers[1:] - powers[:-1]
@@ -99,7 +99,7 @@ def _plug_in(
 
 def step_estimate(sample, cfg: EstimatorConfig, include_head: bool = False) -> float:
     """Plug-in estimate using the empirical CDF."""
-    values = _observations(sample)
+    values = _observations(sample, cfg.m)
     n = values.size
     return _plug_in(values, np.arange(1, n, dtype=float) / n, cfg, include_head)
 
@@ -125,8 +125,8 @@ def _integrated_kernel(kernel: str):
 
 def smoothed_cdf(sample, kernel: str, h: float, x):
     """Kernel-smoothed CDF: mean over observations of L((x - X_j)/h)."""
-    if not h > 0:
-        raise BandwidthError(f"bandwidth must be positive, got {h!r}")
+    if not 0 < h < np.inf:
+        raise BandwidthError(f"bandwidth must be finite and positive, got {h!r}")
     if kernel not in (GAUSSIAN, EPANECHNIKOV):
         raise DomainError(f"kernel must be gaussian or epanechnikov, got {kernel!r}")
     data = np.asarray(getattr(sample, "values", sample), dtype=float).ravel()
@@ -170,7 +170,7 @@ def resolve_bandwidth(sample, cfg: EstimatorConfig) -> float:
 
 def kernel_estimate(sample, cfg: EstimatorConfig, include_head: bool = False) -> float:
     """Plug-in estimate using the kernel-smoothed CDF at cell midpoints."""
-    values = _observations(sample)
+    values = _observations(sample, cfg.m)
     h = resolve_bandwidth(values, cfg)
     midpoints = 0.5 * (values[1:] + values[:-1])
     return _plug_in(values, smoothed_cdf(values, cfg.kernel, h, midpoints), cfg, include_head)

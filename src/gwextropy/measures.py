@@ -125,6 +125,8 @@ def make_integrand(
     density = d.pdf_at_quantile
     name = d.label or d.family_tag
     by_panel = nodes is not None and d in _EXACT_DISTRIBUTIONS and w in _EXACT_WEIGHTS
+    # Nodes of tried panels left without a pair go straight to the one-node path.
+    tried = set()
 
     def add_panel(u: float) -> None:
         panel = _panel_nodes(u)
@@ -140,16 +142,18 @@ def make_integrand(
                 wq = eval_weight(w, q)
                 fq = density(panel)
         except (FloatingPointError, ValueError):
+            tried.update(panel.tolist())
             return
         keep = np.isfinite(q) & np.isfinite(fq) & (fq > 0.0)
         nodes.update(zip(panel[keep].tolist(), zip(wq[keep].tolist(), fq[keep].tolist())))
+        tried.update(panel[~keep].tolist())
 
     # Without a map no node is known: a fresh dict's get always misses.
     known = {}.get if nodes is None else nodes.get
 
     def kernel(u: float) -> tuple[float, float]:
         """The pair of a node not in the map."""
-        if by_panel:
+        if by_panel and u not in tried:
             add_panel(u)
             pair = nodes.get(u)
             if pair is not None:
@@ -308,48 +312,44 @@ def closed_form(d: Distribution, w: WeightFunction, spec: MeasureSpec) -> float 
     gives None even where the value itself is a float.
     """
     try:
-        return _registered_formula(d, w, spec)
-    except (OverflowError, ZeroDivisionError):
-        return None
+        if w.family_tag != POWER:
+            return None
+        (m,) = w.params
+        variant, design, n = spec.variant, spec.design, spec.n
+        if variant == PLAIN:
+            return None
+        if design == SINGLE:
+            design = SRS
 
+        if d.family_tag == UNIFORM and d.params == (0.0, 1.0):
+            if design == SRS:
+                if variant == PAST:
+                    return -0.5 * (1.0 / (m + 3.0)) ** n
+                factor = 1.0 / (m + 1.0) - 2.0 / (m + 2.0) + 1.0 / (m + 3.0)
+                return -0.5 * factor**n
+            if design == MAX_RSSU:
+                product = 1.0
+                for i in range(1, n + 1):
+                    product *= 1.0 / (2.0 * i + m + 1.0)
+                return -0.5 * product
+            if design == MIN_RSSU:
+                product = math.gamma(m + 1.0) ** n
+                for i in range(1, n + 1):
+                    product *= math.gamma(2.0 * i + 1.0) / math.gamma(2.0 * i + m + 2.0)
+                return -0.5 * product
 
-def _registered_formula(d: Distribution, w: WeightFunction, spec: MeasureSpec) -> float | None:
-    if w.family_tag != POWER:
-        return None
-    (m,) = w.params
-    variant, design, n = spec.variant, spec.design, spec.n
-    if variant == PLAIN:
-        return None
-    if design == SINGLE:
-        design = SRS
+        if d.family_tag == EXPONENTIAL and variant == RESIDUAL and design == MIN_RSSU:
+            (rate,) = d.params
+            scale = math.gamma(m + 1.0) / (2.0 * rate) ** (m + 1.0)
+            return -0.5 * scale**n * (1.0 / math.factorial(n)) ** (m + 1.0)
 
-    if d.family_tag == UNIFORM and d.params == (0.0, 1.0):
-        if design == SRS:
-            if variant == PAST:
-                return -0.5 * (1.0 / (m + 3.0)) ** n
-            factor = 1.0 / (m + 1.0) - 2.0 / (m + 2.0) + 1.0 / (m + 3.0)
-            return -0.5 * factor**n
-        if design == MAX_RSSU:
+        if d.family_tag == POWER_SURVIVAL and variant == RESIDUAL and design == MIN_RSSU:
+            (b,) = d.params
             product = 1.0
             for i in range(1, n + 1):
-                product *= 1.0 / (2.0 * i + m + 1.0)
-            return -0.5 * product
-        if design == MIN_RSSU:
-            product = math.gamma(m + 1.0) ** n
-            for i in range(1, n + 1):
-                product *= math.gamma(2.0 * i + 1.0) / math.gamma(2.0 * i + m + 2.0)
+                product *= beta(m + 1.0, 2.0 * i * b + 1.0)
             return -0.5 * product
 
-    if d.family_tag == EXPONENTIAL and variant == RESIDUAL and design == MIN_RSSU:
-        (rate,) = d.params
-        scale = math.gamma(m + 1.0) / (2.0 * rate) ** (m + 1.0)
-        return -0.5 * scale**n * (1.0 / math.factorial(n)) ** (m + 1.0)
-
-    if d.family_tag == POWER_SURVIVAL and variant == RESIDUAL and design == MIN_RSSU:
-        (b,) = d.params
-        product = 1.0
-        for i in range(1, n + 1):
-            product *= beta(m + 1.0, 2.0 * i * b + 1.0)
-        return -0.5 * product
-
-    return None
+        return None
+    except (OverflowError, ZeroDivisionError):
+        return None

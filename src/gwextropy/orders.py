@@ -183,38 +183,36 @@ def check_order(kind: str, dX: Distribution, dY: Distribution, grid_points: int 
                     f"the {kind} order check needs supports starting at 0, got {d.support_lower}"
                 )
 
-    u = _interior_grid(grid_points)
-    used = grid_points
+    used = min(grid_points, 64) if kind == SUPERADDITIVE else grid_points
+    u = _interior_grid(used)
     if kind == DISP:
         margins = _finite_or_raise(pdf_at_quantile(dX, u) - pdf_at_quantile(dY, u), u)
     elif kind == ST:
         margins = _finite_or_raise(quantile(dY, u) - quantile(dX, u), u)
-    elif kind == CONVEX_TRANSFORM:
-        x = _finite_or_raise(quantile(dX, u), u)
-        h = _finite_or_raise(quantile(dY, u), u)
-        dx = np.diff(x)
-        if np.any(dx <= 0.0):
-            bad = int(np.argmin(dx))
-            raise IntegrandError(float(u[bad]), float(dx[bad]))
-        slopes = np.diff(h) / dx
-        margins = np.diff(slopes)
-    elif kind == STAR:
-        x = _finite_or_raise(quantile(dX, u), u)
-        h = _finite_or_raise(quantile(dY, u), u)
-        margins = np.diff(h / x)
     else:
-        used = min(grid_points, 64)
-        u = _interior_grid(used)
+        # The shape orders read the map x -> G^-1(F(x)) through both quantile grids.
         x = _finite_or_raise(quantile(dX, u), u)
         h = _finite_or_raise(quantile(dY, u), u)
-        j, k = np.triu_indices(used)
-        pair_cdf = np.asarray(dX.cdf(x[j] + x[k]), float)
-        inside = pair_cdf < 1.0 - 1e-9
-        if not np.any(inside):
-            margins = np.asarray([math.inf])
+        if kind == CONVEX_TRANSFORM:
+            dx = np.diff(x)
+            if np.any(dx <= 0.0):
+                at = float(u[int(np.argmin(dx))])
+                raise DomainError(
+                    f"quantile Q(u) of {dX.label or dX.family_tag} does not increase at u={at!r}; "
+                    f"the {kind} order needs a strictly increasing quantile"
+                )
+            margins = np.diff(np.diff(h) / dx)
+        elif kind == STAR:
+            margins = np.diff(h / x)
         else:
-            margins = quantile(dY, pair_cdf[inside]) - (h[j] + h[k])[inside]
-            margins = _finite_or_raise(margins, pair_cdf[inside])
+            j, k = np.triu_indices(used)
+            pair_cdf = np.asarray(dX.cdf(x[j] + x[k]), float)
+            inside = pair_cdf < 1.0 - 1e-9
+            if not np.any(inside):
+                margins = np.asarray([math.inf])
+            else:
+                margins = quantile(dY, pair_cdf[inside]) - (h[j] + h[k])[inside]
+                margins = _finite_or_raise(margins, pair_cdf[inside])
 
     worst = float(np.min(margins))
     return OrderVerdict(kind, worst >= -TOLERANCE, used, worst)

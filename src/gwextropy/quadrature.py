@@ -91,13 +91,12 @@ def _panel_nodes(centre: float) -> np.ndarray | None:
     centre, in that order, or None where centre cannot be a panel centre.
 
     dqagse bisects [0, 1] exactly, so a panel centre is (2k+1) 2^-(L+1) and
-    the panel's half-length is 2^-(L+1), the centre's lowest set bit. That
-    half-length times an abscissa is exact, so each node is one rounding of
-    centre -/+ hlgth xgk(j), as in dqk21.
+    the panel's half-length is 2^-(L+1), the centre's lowest set bit. Each
+    node rounds hlgth xgk(j) and then centre -/+ that product, as dqk21 does,
+    so the nodes match at any depth, subnormal products included.
     """
     numerator, denominator = float(centre).as_integer_ratio()
-    # Below a half-length of 2^-1000, hlgth xgk(j) could round into subnormals.
-    if numerator.bit_length() > _MAX_CENTRE_BITS or denominator.bit_length() > 1000:
+    if numerator.bit_length() > _MAX_CENTRE_BITS:
         return None
     return centre + math.ldexp(1.0, 1 - denominator.bit_length()) * _PANEL_OFFSETS
 

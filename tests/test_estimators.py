@@ -9,8 +9,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 import gwextropy as gx
+from gwextropy import estimators
 from gwextropy.errors import BandwidthError, DomainError, InsufficientDataError
 from gwextropy.estimators import (
+    SILVERMAN,
     EstimatorConfig,
     _integrated_kernel,
     bandwidth_silverman,
@@ -157,8 +159,24 @@ def test_epanechnikov_integrated_kernel_closed_form():
 
 
 def test_smoothed_cdf_rejects_bad_bandwidth():
-    with pytest.raises(BandwidthError):
-        smoothed_cdf(np.array([0.0, 1.0]), "gaussian", 0.0, 0.5)
+    for h in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(BandwidthError, match=rf"^bandwidth must be finite and positive, got {h!r}$"):
+            smoothed_cdf(np.array([0.0, 1.0]), "gaussian", h, 0.5)
+
+
+def test_power_overflow_is_checked_before_any_smoothing(monkeypatch):
+    def never(*args):
+        raise AssertionError("smoothed_cdf ran")
+
+    monkeypatch.setattr(estimators, "smoothed_cdf", never)
+    message = "x^(m+1) overflows for m = 1e+308 at the largest observation 3.0"
+    for bandwidth in (0.5, SILVERMAN):
+        cfg = EstimatorConfig("past", m=1e308, style="kernel", bandwidth=bandwidth)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            gx.estimate(np.array([2.0, 3.0, 1.0]), cfg)
+        # a constant sample has no silverman bandwidth, but the overflow comes first
+        with pytest.raises(DomainError, match=r"^x\^\(m\+1\) overflows"):
+            gx.estimate(np.array([3.0, 3.0, 3.0]), cfg)
 
 
 def test_kernel_golden_value():

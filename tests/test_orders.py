@@ -7,7 +7,7 @@ import pytest
 
 import gwextropy as gx
 from gwextropy import measures, orders
-from gwextropy.errors import DomainError, WeightValidityError
+from gwextropy.errors import DomainError, IntegrandError, WeightValidityError
 from gwextropy.orders import (
     CONVEX_TRANSFORM,
     DISP,
@@ -323,3 +323,80 @@ def test_suite_reports_match_fresh_integrands(monkeypatch):
     make = measures.make_integrand
     monkeypatch.setattr(measures, "make_integrand", lambda d, w, kind, nodes=None: make(d, w, kind))
     assert [repr(r) for r in shared] == [repr(r) for r in run_theorem_suite(cases)]
+
+
+def test_psi_claim_with_the_le_sign_ends_with_finite_margins():
+    # w(x) = x^-2.5 has w(psi(x))psi'(x) <= w(x) for psi = e^x - 1, so the
+    # claim reads measure(psi(X)) >= measure(X)
+    w = gx.custom_weight(lambda x: np.asarray(x, float) ** -2.5, label="x^-2.5")
+    case = TheoremCase(dX=U01, w1=w, transformation=gx.EXP_MINUS_ONE, n_values=(1,))
+    reports = {r.theorem_id: r for r in run_theorem_suite([case])}
+    dY = gx.transform(U01, gx.EXP_MINUS_ONE)
+    for theorem_id, spec in (
+        ("T3.ψ", measures.MeasureSpec(measures.PAST, measures.SRS, 1)),
+        ("T4.max-ψ", measures.MeasureSpec(measures.PAST, measures.MAX_RSSU, 1)),
+    ):
+        report = reports[theorem_id]
+        assert report.hypotheses_checked[1].note == "sign: <= everywhere"
+        expected = measures.measure_report(dY, w, spec).value - measures.measure_report(U01, w, spec).value
+        assert report.conclusion_margin == expected
+        assert report.conclusion_margin == pytest.approx(0.0943, abs=1e-4)
+        assert report.passed and report.note == ""
+
+
+def test_comparison_with_a_divergent_left_side_has_margin_minus_inf():
+    case = TheoremCase(dX=EXP1, w1=gx.power_weight(1.0), dY=U01, n_values=(1,))
+    past = next(r for r in run_theorem_suite([case]) if r.theorem_id == "T2.1")
+    assert past.conclusion_margin == -math.inf
+    assert past.note.endswith("; left side diverges to -inf")
+    assert not past.passed and not past.gated_failure
+
+
+def test_mixed_psi_signs_report_nan_without_measuring():
+    case = TheoremCase(
+        dX=U01, w1=gx.exp_decay_weight(3.0), transformation=gx.EXP_MINUS_ONE, n_values=(1, 2)
+    )
+    psi_reports = [r for r in run_theorem_suite([case]) if "ψ" in r.theorem_id]
+    assert len(psi_reports) == 6
+    for r in psi_reports:
+        sign = r.hypotheses_checked[1]
+        assert not sign.passed and sign.note.startswith("mixed signs on the grid (min -3.639e-02")
+        assert math.isnan(r.conclusion_margin)
+        assert not r.passed and not r.gated_failure
+
+
+@pytest.mark.parametrize(
+    "kind, at, value",
+    [
+        (CONVEX_TRANSFORM, 1 / 258, math.inf),
+        (STAR, 1 / 258, math.inf),
+        (SUPERADDITIVE, 1 / 65, math.inf),
+        (ST, 1 / 258, -math.inf),
+    ],
+)
+def test_a_non_finite_quantile_is_an_integrand_error(kind, at, value):
+    # Q(u) = -log(1-u)/5e-324 overflows at every grid point; X is evaluated first
+    with np.errstate(over="ignore"):
+        with pytest.raises(IntegrandError) as info:
+            check_order(kind, gx.exponential(5e-324), U01)
+    assert (info.value.u, info.value.value) == (at, value)
+
+
+def test_superadditive_with_no_pair_inside_the_support_holds_vacuously():
+    # Q(u) = u^0.001: even the two smallest grid quantiles sum past 1
+    steep = gx.custom(
+        lambda u: np.asarray(u, float) ** 0.001,
+        lambda u: 1000.0 * np.asarray(u, float) ** 0.999,
+        0.0,
+        1.0,
+        label="steep",
+    )
+    verdict = check_order(SUPERADDITIVE, steep, U01)
+    assert verdict == orders.OrderVerdict(SUPERADDITIVE, True, 64, math.inf)
+
+
+def test_a_flat_quantile_step_is_a_domain_error_naming_x():
+    # Q(u) of X rounds to the same double at neighbouring grid points
+    message = r"^quantile Q\(u\) of uniform:1e\+16,1e\+16 does not increase at u=0\.00387"
+    with pytest.raises(DomainError, match=message):
+        check_order(CONVEX_TRANSFORM, gx.uniform(1e16, 1e16 + 2), U01)

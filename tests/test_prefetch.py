@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import gwextropy as gx
-from gwextropy import distributions, quadrature, weights
+from gwextropy import distributions, measures, quadrature, weights
 from gwextropy.errors import DomainError
 from gwextropy.measures import MAX_RSSU, MIN_RSSU, PAST, PLAIN, RESIDUAL, SRS, MeasureSpec, measure_report
 from gwextropy.weights import eval_weight
@@ -164,14 +164,55 @@ def test_panels_are_rebuilt_from_their_centre_and_the_map_leaves_the_node_order(
 
 def test_panel_nodes_are_the_centre_then_the_gauss_then_the_kronrod_abscissae():
     xgk = np.array(quadrature._XGK)
-    for centre, hlgth in ((0.5, 0.5), (0.75, 0.25), (3 * 2.0**-40, 2.0**-40)):
+    # the last two lie below 2^-1000; at 2^-1060, hlgth xgk(j) is subnormal
+    panels = (0.5, 0.5), (0.75, 0.25), (3 * 2.0**-40, 2.0**-40), (2.0**-1010, 2.0**-1010)
+    for centre, hlgth in panels + ((3 * 2.0**-1060, 2.0**-1060),):
         gauss = np.column_stack([centre - hlgth * xgk[1::2], centre + hlgth * xgk[1::2]]).ravel()
         kronrod = np.column_stack([centre - hlgth * xgk[0::2], centre + hlgth * xgk[0::2]]).ravel()
         expected = [centre] + gauss.tolist() + kronrod.tolist()
         assert quadrature._panel_nodes(centre).tolist() == expected
     # 0.1 has a 52-bit numerator: a panel that narrow around 0.1 is never bisected to
     assert quadrature._panel_nodes(0.1) is None
-    assert quadrature._panel_nodes(2.0**-1010) is None
+
+
+def test_every_panel_of_a_pole_is_rebuilt_down_to_subnormal_depth():
+    # dqagse bisects towards the pole of 1/u until roundoff stops it (ier = 3),
+    # so its deepest panels have half-lengths far below 2^-1000
+    nodes = []
+
+    def f(u):
+        nodes.append(u)
+        return 1.0 / u
+
+    q = quadrature
+    _, _, info, ier = q._qagse(f, 0.0, 1.0, (), 1, q.DEFAULT_ABS_TOL, q.DEFAULT_REL_TOL, q.DEFAULT_MAX_SUBDIVISIONS)
+    assert ier == 3 and len(nodes) == 21 * (2 * info["last"] - 1)
+    centres = nodes[::21]
+    # the panel [0, 2h] is centred at h, so a centre below 2^-1000 is such a panel
+    assert min(centres) < 2.0**-1000
+    for i, centre in enumerate(centres):
+        assert quadrature._panel_nodes(centre).tolist() == nodes[21 * i : 21 * i + 21], i
+
+
+def test_a_panel_whose_array_evaluation_raises_is_tried_once(monkeypatch):
+    # -a x overflows on its way to a finite w(Q) at every node of the one panel
+    d, w, spec = gx.exponential(1.0), gx.exp_decay_weight(1e308), MeasureSpec(RESIDUAL)
+    panel_nodes, calls = quadrature._panel_nodes, []
+
+    def counting(centre):
+        calls.append(centre)
+        return panel_nodes(centre)
+
+    def run(evaluate):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = evaluate()
+        return result, [(str(c.message), c.category, c.filename, c.lineno) for c in caught]
+
+    monkeypatch.setattr(measures, "_panel_nodes", counting)
+    shared = run(lambda: outcome(lambda: measure_report(d, w, spec)))
+    assert len(calls) == 1 and shared[0][2][0][2] == 1
+    assert shared == run(lambda: fresh_outcome(d, w, spec))
 
 
 @pytest.mark.parametrize(

@@ -85,6 +85,12 @@ class Transformation:
             )
 
 
+def _label_number(x: float) -> str:
+    """x as a label writes it: ``:g`` where that reads back as x, else repr."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
+
+
 def _validated_u(u):
     arr = np.asarray(u, dtype=float)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
@@ -127,7 +133,7 @@ def uniform(a: float = 0.0, b: float = 1.0) -> Distribution:
         quantile=lambda u: a + np.asarray(u, float) * width,
         pdf_at_quantile=lambda u: np.full_like(np.asarray(u, float), 1.0 / width),
         params=(a, b),
-        label=f"uniform:{a:g},{b:g}",
+        label=f"uniform:{_label_number(a)},{_label_number(b)}",
     ))
 
 
@@ -154,7 +160,7 @@ def exponential(rate: float) -> Distribution:
         quantile=lambda u: -np.log1p(-np.asarray(u, float)) / rate,
         pdf_at_quantile=lambda u: rate * (1.0 - np.asarray(u, float)),
         params=(rate,),
-        label=f"exp:{rate:g}",
+        label=f"exp:{_label_number(rate)}",
     ))
 
 
@@ -173,7 +179,18 @@ def power_survival(b: float) -> Distribution:
         x = np.asarray(x, float)
         return np.where((x >= 0.0) & (x <= 1.0), b * (1.0 - np.clip(x, 0.0, 1.0)) ** (b - 1.0), 0.0)
 
-    return Distribution(
+    exponent = 1.0 - 1.0 / b
+
+    def pdf_at_quantile(u):
+        u = np.asarray(u, float)
+        if u.ndim == 0:
+            return b * (1.0 - u) ** exponent
+        # numpy's array power rounds differently from its scalar power (on
+        # SIMD loops, and through sqrt at b = 2), so each element takes the
+        # scalar power: an array gives the floats of one level at a time.
+        return np.array([b * (1.0 - v) ** exponent for v in u.ravel()]).reshape(u.shape)
+
+    return _array_exact(Distribution(
         family_tag=POWER_SURVIVAL,
         support_lower=0.0,
         support_upper=1.0,
@@ -181,10 +198,10 @@ def power_survival(b: float) -> Distribution:
         pdf=pdf,
         # 1-(1-u)^{1/b}, written through expm1/log1p to stay accurate near u=0.
         quantile=lambda u: -np.expm1(np.log1p(-np.asarray(u, float)) / b),
-        pdf_at_quantile=lambda u: b * (1.0 - np.asarray(u, float)) ** (1.0 - 1.0 / b),
+        pdf_at_quantile=pdf_at_quantile,
         params=(b,),
-        label=f"powersurv:{b:g}",
-    )
+        label=f"powersurv:{_label_number(b)}",
+    ))
 
 
 def _inverted_quantile(quantile_fn: Callable, pdf_at_quantile_fn: Callable, lo: float, hi: float):

@@ -117,10 +117,9 @@ def make_integrand(
     panel just started, and one array evaluation adds the pairs of the
     panel's 21 nodes. Only families whose array evaluation gives the floats
     of the one-node path bit for bit, built by the library's own factories,
-    are evaluated so: uniform, exponential and their EXP_MINUS_ONE and
-    IDENTITY transforms, with power, constant and exp-decay weights.
-    Power-survival (its density's power rounds differently on arrays),
-    transforms of it, custom and directly built inputs stay one node at a time.
+    are evaluated so: uniform, exponential, power-survival and their
+    EXP_MINUS_ONE and IDENTITY transforms, with power, constant and exp-decay
+    weights. Custom and directly built inputs stay one node at a time.
     """
     density = d.pdf_at_quantile
     name = d.label or d.family_tag
@@ -130,8 +129,6 @@ def make_integrand(
 
     def add_panel(u: float) -> None:
         panel = _panel_nodes(u)
-        if panel is None:
-            return
         panel = panel[(panel > 0.0) & (panel < 1.0)]
         # Any floating-point flag, or a weight that rejects a point, leaves the
         # whole panel to the one-node path, so each numpy warning and each

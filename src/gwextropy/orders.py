@@ -157,12 +157,12 @@ def _interior_grid(grid_points: int) -> np.ndarray:
 
 
 def _finite_or_raise(values: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """values as floats, or IntegrandError at the first non-finite one, named by
+    its level in u: the levels the values were computed at, in their shape."""
     values = np.asarray(values, float)
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
-        u = np.asarray(u, float)
-        at = float(u[bad]) if u.shape == values.shape else math.nan
-        raise IntegrandError(at, float(values[bad]))
+        raise IntegrandError(float(u[bad]), float(values[bad]))
     return values
 
 

@@ -80,24 +80,20 @@ _XGK = (
 # order dqk21 evaluates them: the centre, centre -/+ the Gauss abscissae, then
 # centre -/+ the other Kronrod abscissae.
 _PANEL_OFFSETS = np.array([0.0] + [s * x for x in _XGK[1::2] + _XGK[0::2] for s in (-1.0, 1.0)])
-# dqagse stops once it has bisected a panel about 100 ulps of its centre wide,
-# so the panels it evaluates are at least ~25 ulps wide: a centre lies fewer
-# than 2^48 half-lengths from 0. Two more bits leave a margin.
-_MAX_CENTRE_BITS = 50
 
 
-def _panel_nodes(centre: float) -> np.ndarray | None:
+def _panel_nodes(centre: float) -> np.ndarray:
     """The 21 nodes dqk21 evaluates on the dqagse panel of [0, 1] centred at
-    centre, in that order, or None where centre cannot be a panel centre.
+    centre, in that order.
 
     dqagse bisects [0, 1] exactly, so a panel centre is (2k+1) 2^-(L+1) and
     the panel's half-length is 2^-(L+1), the centre's lowest set bit. Each
     node rounds hlgth xgk(j) and then centre -/+ that product, as dqk21 does,
-    so the nodes match at any depth, subnormal products included.
+    so the nodes match at any depth, subnormal products included. A point
+    that is no panel centre still gets 21 points around it, which the
+    integrand may never ask for.
     """
-    numerator, denominator = float(centre).as_integer_ratio()
-    if numerator.bit_length() > _MAX_CENTRE_BITS:
-        return None
+    _, denominator = float(centre).as_integer_ratio()
     return centre + math.ldexp(1.0, 1 - denominator.bit_length()) * _PANEL_OFFSETS
 
 

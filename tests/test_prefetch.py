@@ -9,7 +9,7 @@ import pytest
 
 import gwextropy as gx
 from gwextropy import distributions, measures, quadrature, weights
-from gwextropy.errors import DomainError
+from gwextropy.errors import DomainError, IntegrandError
 from gwextropy.measures import MAX_RSSU, MIN_RSSU, PAST, PLAIN, RESIDUAL, SRS, MeasureSpec, measure_report
 from gwextropy.weights import eval_weight
 
@@ -30,6 +30,8 @@ EXACT_DISTS = [
     "uniform:0,1", "uniform:1,3", "uniform:-2,0.5", "exp:1", "exp:2.5", "exp:1.01",
     "transform:exp_minus_one(uniform:0,1)", "transform:exp_minus_one(exp:1)",
     "transform:identity(exp:2)", "transform:identity(transform:exp_minus_one(exp:1.01))",
+    "powersurv:0.7", "powersurv:2", "powersurv:2.718",
+    "transform:exp_minus_one(powersurv:2)", "transform:identity(powersurv:0.7)",
 ]
 EXACT_WEIGHTS = [
     "power:1", "power:0.5", "power:2.5", "power:4", "const:1", "const:0", "expdecay:0.7", "expdecay:3",
@@ -76,23 +78,25 @@ def test_array_evaluation_is_bit_identical_for_each_prefetched_weight(weight):
 
 
 def test_power_survival_density_differs_on_arrays_so_the_pin_has_teeth():
-    # The density (1-u)^(1-1/b) takes numpy's scalar power one node at a time
-    # and the array loop on a panel. At b = 2 the array loop takes sqrt for
-    # the exponent 1/2 (the scalar power does not) on every platform; at
-    # b = 0.7 they differ where the array loop is SIMD code, as with AVX-512.
-    differing = {}
-    for b in (2.0, 0.7):
-        d = gx.power_survival(b)
-        _, f = one_node_at_a_time(d)
-        differing[b] = int(np.sum(bits(d.pdf_at_quantile(LEVELS)) != bits(f)))
-    assert differing[2.0] > 0, differing
-    assert gx.power_survival(2.0) not in distributions._ARRAY_EXACT
+    # The density b (1-u)^(1-1/b) takes numpy's scalar power one node at a
+    # time. numpy's array power loop rounds differently: at b = 2 it takes
+    # sqrt for the exponent 1/2 (the scalar power does not) on every platform,
+    # and at b = 0.7 it differs where the loop is SIMD code, as with AVX-512.
+    # So the library's array density applies the scalar power per element.
+    b = 2.0
+    d = gx.power_survival(b)
+    _, f = one_node_at_a_time(d)
+    raw = b * (1.0 - LEVELS) ** (1.0 - 1.0 / b)
+    assert np.sum(bits(raw) != bits(f)) > 0
+    assert np.array_equal(bits(d.pdf_at_quantile(LEVELS)), bits(f))
+    assert d in distributions._ARRAY_EXACT
 
 
 def test_only_the_factories_mark_a_family_for_the_prefetch():
     exact = distributions._ARRAY_EXACT
     ps = gx.power_survival(0.7)
-    assert gx.parse_distribution("transform:identity(powersurv:2)") not in exact
+    families = ("uniform:0,1", "exp:1", "powersurv:0.7", "transform:identity(powersurv:2)")
+    assert all(gx.parse_distribution(text) in exact for text in families)
     assert gx.custom(lambda u: u, lambda u: np.ones_like(u), 0.0, 1.0) not in exact
     own = gx.Transformation("identity", gx.IDENTITY.psi, gx.IDENTITY.psi_prime, gx.IDENTITY.psi_inverse)
     assert gx.transform(gx.exponential(1.0), own) not in exact
@@ -158,7 +162,7 @@ def test_panels_are_rebuilt_from_their_centre_and_the_map_leaves_the_node_order(
             for i in range(0, len(seq), 21):
                 predicted = quadrature._panel_nodes(seq[i])
                 panels += 1
-                rebuilt += predicted is not None and predicted.tolist() == seq[i : i + 21]
+                rebuilt += predicted.tolist() == seq[i : i + 21]
     assert panels > 500 and rebuilt >= 0.99 * panels, (rebuilt, panels)
 
 
@@ -171,8 +175,27 @@ def test_panel_nodes_are_the_centre_then_the_gauss_then_the_kronrod_abscissae():
         kronrod = np.column_stack([centre - hlgth * xgk[0::2], centre + hlgth * xgk[0::2]]).ravel()
         expected = [centre] + gauss.tolist() + kronrod.tolist()
         assert quadrature._panel_nodes(centre).tolist() == expected
-    # 0.1 has a 52-bit numerator: a panel that narrow around 0.1 is never bisected to
-    assert quadrature._panel_nodes(0.1) is None
+    # 0.1 is no centre dqagse bisects to (its lowest set bit is 2^-55), but it
+    # still gets the 21 points of the panel its lowest bit implies
+    hlgth = 2.0**-55
+    around = quadrature._panel_nodes(0.1)
+    assert around[0] == 0.1 and around.tolist() == (0.1 + hlgth * quadrature._PANEL_OFFSETS).tolist()
+
+
+@pytest.mark.parametrize("dist", ["exp:1", "powersurv:0.7", "transform:exp_minus_one(powersurv:2)"])
+@pytest.mark.parametrize("kind", [measures.IntegrandKind(measures.PHI_I, 2), measures.IntegrandKind(measures.DELTA_GWJ)])
+def test_a_miss_that_is_no_panel_centre_gives_the_one_node_value(dist, kind):
+    # 1 - 2^-53 is where a node rounding onto 1.0 is snapped to; neither it
+    # nor 0.1 is the centre of a panel dqagse evaluates
+    d, w = gx.parse_distribution(dist), gx.power_weight(1.5)
+    for u in (1.0 - 2.0**-53, 0.1):
+        nodes = {}
+        with np.errstate(all="ignore"):
+            alone = measures.make_integrand(d, w, kind)(u)
+            shared = measures.make_integrand(d, w, kind, nodes=nodes)(u)
+        # the miss filled the map from one array evaluation around u
+        assert u in nodes and len(nodes) > 1, u
+        assert bits(shared) == bits(alone), u
 
 
 def test_every_panel_of_a_pole_is_rebuilt_down_to_subnormal_depth():
@@ -225,6 +248,8 @@ def test_a_panel_whose_array_evaluation_raises_is_tried_once(monkeypatch):
         ("exp:1", "expdecay:1e308", MeasureSpec(RESIDUAL)),
         ("uniform:1,3", "expdecay:1e308", MeasureSpec(PLAIN)),
         ("uniform:0,1e308", "const:1", MeasureSpec(PAST, SRS, 2)),
+        # the density overflows
+        ("powersurv:0.01", "power:1", MeasureSpec(PLAIN)),
     ],
 )
 def test_warnings_and_errors_come_from_the_same_nodes_as_without_the_prefetch(dist, weight, spec):
@@ -235,8 +260,8 @@ def test_warnings_and_errors_come_from_the_same_nodes_as_without_the_prefetch(di
             warnings.simplefilter("always")
             try:
                 result = evaluate()
-            except DomainError as exc:
-                result = ("DomainError", str(exc))
+            except (DomainError, IntegrandError) as exc:
+                result = (type(exc).__name__, str(exc))
         return result, [(str(c.message), c.category, c.filename, c.lineno) for c in caught]
 
     fresh = run(lambda: fresh_outcome(d, w, spec))

@@ -17,8 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gwextropy.cli import run_command
-from gwextropy.distributions import TRANSFORMATIONS, parse_distribution
-from gwextropy.errors import ParseError
+from gwextropy.distributions import TRANSFORMATIONS, exponential, parse_distribution, power_survival, transform, uniform
+from gwextropy.errors import DomainError, InvalidTransformationError, ParseError
 from gwextropy.weights import parse_weight
 
 numbers = st.sampled_from(["nan", "inf", "-inf", "-0", "0", "5e-324", "1e308", "-1e308", "0.5", "1", "2", "-1"])
@@ -81,6 +81,32 @@ def _parses(parse, text):
 def test_token_strings_parse_or_raise_parse_error(text):
     _parses(parse_distribution, text)
     _parses(parse_weight, text)
+
+
+FACTORIES = {"uniform": (uniform, 2), "exp": (exponential, 1), "powersurv": (power_survival, 1)}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    family=st.sampled_from(sorted(FACTORIES)),
+    params=st.lists(st.floats(allow_nan=False), min_size=2, max_size=2),
+    wrap=st.sampled_from([None, *sorted(TRANSFORMATIONS)]),
+)
+@example(family="exp", params=[1.2345678, 0.0], wrap=None)
+@example(family="uniform", params=[1e16, 1e16 + 2], wrap="identity")
+@example(family="uniform", params=[-0.0, 0.1], wrap="exp_minus_one")
+def test_a_label_parses_back_to_the_distribution_it_names(family, params, wrap):
+    build, arity = FACTORIES[family]
+    try:
+        # extreme parameters overflow inside numpy; its warnings are expected here
+        with np.errstate(all="ignore"):
+            base = build(*params[:arity])
+            d = base if wrap is None else transform(base, TRANSFORMATIONS[wrap])
+            rebuilt_base, rebuilt = parse_distribution(base.label), parse_distribution(d.label)
+    except (DomainError, InvalidTransformationError):
+        return
+    assert [p.hex() for p in rebuilt_base.params] == [p.hex() for p in base.params]
+    assert rebuilt.label == d.label
 
 
 def _reject_constant(token):

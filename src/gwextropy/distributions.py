@@ -25,17 +25,17 @@ POWER_SURVIVAL = "power_survival"
 TRANSFORMED = "transformed"
 CUSTOM = "custom"
 
-# Distributions built by the factories below whose quantile and
-# pdf_at_quantile return, on an array of levels, bit for bit the floats they
-# return one level at a time; measures evaluates these a quadrature panel at
-# a time. Membership is by identity: a Distribution built directly, even with
-# a family tag from here, is not in it.
+# Distributions and weights built by the library's factories whose array
+# evaluation (quantile and pdf_at_quantile, or eval_weight) returns bit for
+# bit the floats of one point at a time; measures evaluates these a
+# quadrature panel at a time. Membership is by identity: a Distribution or
+# WeightFunction built directly, even with a family tag from here, is not in it.
 _ARRAY_EXACT: weakref.WeakSet = weakref.WeakSet()
 
 
-def _array_exact(d: Distribution) -> Distribution:
-    _ARRAY_EXACT.add(d)
-    return d
+def _array_exact(obj):
+    _ARRAY_EXACT.add(obj)
+    return obj
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,10 +85,32 @@ class Transformation:
             )
 
 
-def _label_number(x: float) -> str:
-    """x as a label writes it: ``:g`` where that reads back as x, else repr."""
-    short = f"{x:g}"
-    return short if float(short) == x else repr(x)
+def _label(head: str, *params: float) -> str:
+    """The spec ``head:p1,...,pk``: each number ``:g`` where that reads back exactly, else repr."""
+    return f"{head}:" + ",".join(f"{x:g}" if float(f"{x:g}") == x else repr(x) for x in params)
+
+
+def _parse_spec(text: str, kind: str, families: dict):
+    """What a ``head:p1,...,pk`` spec names. families maps each head to its
+    factory and k; a k of None hands the text after the colon to the factory."""
+    text = text.strip()
+    head, sep, rest = text.partition(":")
+    if not sep:
+        raise ParseError(f"malformed {kind} spec {text!r}")
+    if head not in families:
+        raise ParseError(f"unknown {kind} family {head!r}")
+    build, arity = families[head]
+    try:
+        if arity is None:
+            return build(rest)
+        params = rest.split(",")
+        if len(params) != arity:
+            raise ValueError(f"{head} takes {arity} parameter{'s' * (arity > 1)}, got {len(params)}")
+        return build(*map(float, params))
+    except ParseError:
+        raise
+    except ValueError as exc:  # DomainError included
+        raise ParseError(f"bad {kind} spec {text!r}: {exc}") from exc
 
 
 def _validated_u(u):
@@ -133,7 +155,7 @@ def uniform(a: float = 0.0, b: float = 1.0) -> Distribution:
         quantile=lambda u: a + np.asarray(u, float) * width,
         pdf_at_quantile=lambda u: np.full_like(np.asarray(u, float), 1.0 / width),
         params=(a, b),
-        label=f"uniform:{_label_number(a)},{_label_number(b)}",
+        label=_label("uniform", a, b),
     ))
 
 
@@ -160,7 +182,7 @@ def exponential(rate: float) -> Distribution:
         quantile=lambda u: -np.log1p(-np.asarray(u, float)) / rate,
         pdf_at_quantile=lambda u: rate * (1.0 - np.asarray(u, float)),
         params=(rate,),
-        label=f"exp:{_label_number(rate)}",
+        label=_label("exp", rate),
     ))
 
 
@@ -182,12 +204,10 @@ def power_survival(b: float) -> Distribution:
     exponent = 1.0 - 1.0 / b
 
     def pdf_at_quantile(u):
-        u = np.asarray(u, float)
-        if u.ndim == 0:
-            return b * (1.0 - u) ** exponent
         # numpy's array power rounds differently from its scalar power (on
         # SIMD loops, and through sqrt at b = 2), so each element takes the
         # scalar power: an array gives the floats of one level at a time.
+        u = np.asarray(u, float)
         return np.array([b * (1.0 - v) ** exponent for v in u.ravel()]).reshape(u.shape)
 
     return _array_exact(Distribution(
@@ -200,7 +220,7 @@ def power_survival(b: float) -> Distribution:
         quantile=lambda u: -np.expm1(np.log1p(-np.asarray(u, float)) / b),
         pdf_at_quantile=pdf_at_quantile,
         params=(b,),
-        label=f"powersurv:{_label_number(b)}",
+        label=_label("powersurv", b),
     ))
 
 
@@ -274,8 +294,9 @@ def _check_increasing_on_support(d: Distribution, t: Transformation) -> None:
             f"transformation {t.name!r} is not increasing on the support "
             f"(psi_prime reached {float(np.min(deriv))!r})"
         )
+    # psi cannot rise where Q(u) rounds to one x on neighbouring levels, as near powersurv:0.01's top
     values = np.asarray(t.psi(x), float)
-    if not np.all(np.diff(values) > 0.0):
+    if not np.all((np.diff(values) > 0.0) | (np.diff(x) == 0.0)):
         raise InvalidTransformationError(
             f"transformation {t.name!r} is not strictly increasing on the support grid"
         )
@@ -334,9 +355,7 @@ def transform(d: Distribution, t: Transformation) -> Distribution:
         pdf_at_quantile=pdf_at_quantile_y,
         label=f"transform:{t.name}({d.label})",
     )
-    if d in _ARRAY_EXACT and (t is EXP_MINUS_ONE or t is IDENTITY):
-        return _array_exact(y)
-    return y
+    return _array_exact(y) if d in _ARRAY_EXACT and (t is EXP_MINUS_ONE or t is IDENTITY) else y
 
 
 def _identity_psi(x):
@@ -356,33 +375,23 @@ TRANSFORMATIONS: dict[str, Transformation] = {
 }
 
 
+def _parse_transform(rest: str) -> Distribution:
+    name, paren, inner = rest.partition("(")
+    if not paren or not inner.endswith(")"):
+        raise ParseError(f"malformed transform spec {'transform:' + rest!r}")
+    if name not in TRANSFORMATIONS:
+        raise ParseError(f"unknown transformation {name!r}")
+    return transform(parse_distribution(inner[:-1]), TRANSFORMATIONS[name])
+
+
+_FAMILIES = {"uniform": (uniform, 2), "exp": (exponential, 1), "powersurv": (power_survival, 1),
+             "transform": (_parse_transform, None)}
+
+
 def parse_distribution(text: str) -> Distribution:
     """Parse a specification string.
 
     Grammar: ``uniform:a,b``, ``exp:lambda``, ``powersurv:b``, and
     ``transform:<name>(<base spec>)`` for a registered transformation.
     """
-    text = text.strip()
-    head, sep, rest = text.partition(":")
-    if not sep:
-        raise ParseError(f"malformed distribution spec {text!r}")
-    try:
-        if head == "uniform":
-            a_str, b_str = rest.split(",")
-            return uniform(float(a_str), float(b_str))
-        if head == "exp":
-            return exponential(float(rest))
-        if head == "powersurv":
-            return power_survival(float(rest))
-        if head == "transform":
-            name, paren, inner = rest.partition("(")
-            if not paren or not inner.endswith(")"):
-                raise ParseError(f"malformed transform spec {text!r}")
-            if name not in TRANSFORMATIONS:
-                raise ParseError(f"unknown transformation {name!r}")
-            return transform(parse_distribution(inner[:-1]), TRANSFORMATIONS[name])
-    except ParseError:
-        raise
-    except (ValueError, DomainError) as exc:
-        raise ParseError(f"bad distribution spec {text!r}: {exc}") from exc
-    raise ParseError(f"unknown distribution family {head!r}")
+    return _parse_spec(text, "distribution", _FAMILIES)

@@ -24,11 +24,9 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import _ARRAY_EXACT as _EXACT_DISTRIBUTIONS
-from .distributions import EXPONENTIAL, POWER_SURVIVAL, UNIFORM, Distribution
+from .distributions import _ARRAY_EXACT, EXPONENTIAL, POWER_SURVIVAL, UNIFORM, Distribution
 from .errors import DivergenceError, DomainError, WeightValidityError
 from .quadrature import DEFAULT_REL_TOL, IntegrationResult, _panel_nodes, beta, integrate_unit_interval
-from .weights import _ARRAY_EXACT as _EXACT_WEIGHTS
 from .weights import POWER, WeightFunction, eval_weight
 
 PAST = "past"
@@ -123,7 +121,7 @@ def make_integrand(
     """
     density = d.pdf_at_quantile
     name = d.label or d.family_tag
-    by_panel = nodes is not None and d in _EXACT_DISTRIBUTIONS and w in _EXACT_WEIGHTS
+    by_panel = nodes is not None and d in _ARRAY_EXACT and w in _ARRAY_EXACT
     # Nodes of tried panels left without a pair go straight to the one-node path.
     tried = set()
 
@@ -274,8 +272,9 @@ class _FactorSequence:
             try:
                 value = values[0] ** spec.n
                 error = 0.5 * spec.n * abs(values[0]) ** (spec.n - 1) * errors[0]
-            except OverflowError:  # float ** raises where the product below reaches inf
-                value = error = math.inf
+            except OverflowError:  # the power, or n, beyond the float range: the limit as n -> inf
+                value = values[0] ** math.inf
+                error = 0.0 if value == 0.0 else math.inf
         else:
             value = math.prod(values)
             error = 0.5 * sum(

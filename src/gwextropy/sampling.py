@@ -77,6 +77,8 @@ def draw_design(
         raise DomainError(f"unknown design {design!r}")
     if not (isinstance(n, int) and n >= 1):
         raise DomainError(f"sample size must be a positive integer, got {n!r}")
+    if n > np.iinfo(np.intp).max // 8:
+        raise DomainError(f"sample size {n} is too large: its float64 uniforms exceed numpy's array size limit")
     gen = _generator(seed)
 
     if design == SRS:

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 import numbers
-import weakref
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ParseError, WeightValidityError
+from .distributions import _array_exact, _label, _parse_spec
+from .errors import DomainError, WeightValidityError
 
 POWER = "power"
 CONSTANT = "constant"
@@ -30,17 +30,6 @@ NEITHER = "neither"
 UNKNOWN = "unknown"
 
 DEFAULT_GRID_POINTS = 512
-
-# Weights built by the factories below whose eval_weight on an array returns
-# bit for bit the floats it returns one point at a time. Membership is by
-# identity, as for distributions._ARRAY_EXACT.
-_ARRAY_EXACT: weakref.WeakSet = weakref.WeakSet()
-
-
-def _array_exact(w: WeightFunction) -> WeightFunction:
-    _ARRAY_EXACT.add(w)
-    return w
-
 
 @dataclass(frozen=True, eq=False)
 class WeightFunction:
@@ -65,7 +54,7 @@ def power_weight(m: float) -> WeightFunction:
             raise DomainError(f"power weight is defined for x >= 0, got {x!r}")
         return arr**m
 
-    return _array_exact(WeightFunction(_eval, POWER, INCREASING, (m,), f"power:{m:g}"))
+    return _array_exact(WeightFunction(_eval, POWER, INCREASING, (m,), _label("power", m)))
 
 
 def constant_weight(c: float = 1.0) -> WeightFunction:
@@ -81,7 +70,7 @@ def constant_weight(c: float = 1.0) -> WeightFunction:
     def _eval(x):
         return np.full_like(np.asarray(x, float), c)
 
-    return _array_exact(WeightFunction(_eval, CONSTANT, DECREASING, (c,), f"const:{c:g}"))
+    return _array_exact(WeightFunction(_eval, CONSTANT, DECREASING, (c,), _label("const", c)))
 
 
 def exp_decay_weight(a: float) -> WeightFunction:
@@ -93,7 +82,7 @@ def exp_decay_weight(a: float) -> WeightFunction:
     def _eval(x):
         return np.exp(-a * np.asarray(x, float))
 
-    return _array_exact(WeightFunction(_eval, EXP_DECAY, DECREASING, (a,), f"expdecay:{a:g}"))
+    return _array_exact(WeightFunction(_eval, EXP_DECAY, DECREASING, (a,), _label("expdecay", a)))
 
 
 def custom_weight(fn: Callable, monotonicity_hint: str = UNKNOWN, label: str = "custom") -> WeightFunction:
@@ -182,19 +171,9 @@ def check_monotone_weight(
     return DECREASING
 
 
+_FAMILIES = {"power": (power_weight, 1), "const": (constant_weight, 1), "expdecay": (exp_decay_weight, 1)}
+
+
 def parse_weight(text: str) -> WeightFunction:
     """Parse ``power:m``, ``const:c``, or ``expdecay:a``."""
-    text = text.strip()
-    head, sep, rest = text.partition(":")
-    if not sep:
-        raise ParseError(f"malformed weight spec {text!r}")
-    try:
-        if head == "power":
-            return power_weight(float(rest))
-        if head == "const":
-            return constant_weight(float(rest))
-        if head == "expdecay":
-            return exp_decay_weight(float(rest))
-    except (ValueError, DomainError) as exc:
-        raise ParseError(f"bad weight spec {text!r}: {exc}") from exc
-    raise ParseError(f"unknown weight family {head!r}")
+    return _parse_spec(text, "weight", _FAMILIES)

@@ -1,6 +1,7 @@
 """Command-line behavior: payload shapes, determinism, and exit codes."""
 
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import gwextropy as gx
-from gwextropy.cli import run_command
+from gwextropy.cli import _json_number, run_command
 
 
 def run_json(capsys, argv):
@@ -312,3 +313,29 @@ def test_commands_never_import_the_scipy_subpackages(tmp_path):
     assert "scipy.integrate" not in packages
     if ndtr_in_extension:
         assert set(packages) <= {"scipy", "scipy._lib"}
+
+
+def test_json_numbers_write_nan_as_a_string():
+    assert _json_number(math.nan) == "nan"
+
+
+def test_measure_with_n_beyond_the_float_range(capsys):
+    code, payload = run_json(
+        capsys,
+        ["measure", "--dist", "uniform:0,1", "--weight", "power:1", "--variant", "past",
+         "--design", "srs", "--n", str(10**400)],
+    )
+    # the exact value -0.5 (1/4)^n underflows to -0.0
+    assert (code, payload) == (0, {"value": -0.0, "quadrature_error": 0.0})
+    assert math.copysign(1.0, payload["value"]) == -1.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", "--dist", "exp:1", "--n", "100000000000000000000"],
+     ["converge", "--dist", "exp:1", "--variant", "residual", "--sizes", "100000000000000000000", "--seeds", "1"]],
+)
+def test_an_unallocatable_sample_size_exits_2(capsys, argv):
+    assert run_command(argv) == 2
+    message = "sample size 100000000000000000000 is too large: its float64 uniforms exceed numpy's array size limit"
+    assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -128,6 +128,27 @@ def test_transform_rejects_decreasing_map():
         transform(gx.uniform(), t)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "transform:identity(powersurv:0.01)",
+        "transform:exp_minus_one(powersurv:0.01)",
+        "transform:identity(powersurv:0.05)",
+    ],
+)
+def test_transform_accepts_a_quantile_that_rounds_flat(spec):
+    # Q(u) of powersurv:0.01 rounds to 1.0 on most of the check's grid, so psi
+    # cannot rise there; only the steps where x moves are judged.
+    y = parse_distribution(spec)
+    assert y.label == spec and y.support_lower == 0.0
+
+
+def test_transform_rejects_a_psi_that_falls_where_the_quantile_is_flat_in_places():
+    liar = gx.Transformation("liar", lambda x: -np.asarray(x, float), lambda x: np.ones_like(np.asarray(x, float)))
+    with pytest.raises(InvalidTransformationError, match="not strictly increasing on the support grid"):
+        transform(gx.power_survival(0.01), liar)
+
+
 def test_transform_without_registered_inverse():
     # cube has psi(0)=0 and is increasing; the cdf must come from inverting the quantile
     t = gx.Transformation("cube", lambda x: x**3, lambda x: 3.0 * x**2 + 1e-12)

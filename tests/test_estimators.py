@@ -253,3 +253,10 @@ def test_step_estimator_is_consistent(consistency_ladder):
     # medians over 50 seeds at n=10000 land within 2% of the analytic values
     for variant in ("past", "residual"):
         assert consistency_ladder["median_rel_err"][variant][-1] < 0.02
+
+
+def test_smoothed_cdf_input_checks():
+    with pytest.raises(DomainError, match=r"^kernel must be gaussian or epanechnikov, got 'box'$"):
+        smoothed_cdf([1.0, 2.0], "box", 1.0, 1.5)
+    with pytest.raises(InsufficientDataError, match=r"^need at least 1 observation for a smoothed CDF$"):
+        smoothed_cdf([], "gaussian", 1.0, 1.5)

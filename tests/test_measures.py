@@ -191,6 +191,27 @@ def test_values_beyond_the_float_range_read_minus_inf_in_every_design():
         assert (report.value, report.quadrature_error) == (-math.inf, math.inf)
 
 
+HUGE_N = 10**400  # beyond the float range, so n itself overflows a float
+
+
+@pytest.mark.parametrize(
+    "dist, weight, factor, expected",
+    [
+        # below 1: -0.5 * (1/4)^n tends to -0.0 with error 0
+        ("uniform:0,1", "power:1", 0.25, (-0.0, 0.0)),
+        ("uniform:0,1", "const:0", 0.0, (-0.0, 0.0)),
+        # exactly 1: the value stays -0.5, and n times the factor's error has no float bound
+        ("uniform:0,3", "const:1", 1.0, (-0.5, math.inf)),
+        ("uniform:0,30", "const:1", 10.0, (-math.inf, math.inf)),
+    ],
+)
+def test_srs_with_n_beyond_the_float_range_takes_the_ieee_limit(dist, weight, factor, expected):
+    report = measure_report(gx.parse_distribution(dist), gx.parse_weight(weight), MeasureSpec(PAST, SRS, HUGE_N))
+    assert report.factor_results[0].value == factor
+    assert (report.value, report.quadrature_error) == expected
+    assert math.copysign(1.0, report.value) == -1.0
+
+
 def test_spec_validation():
     with pytest.raises(DomainError):
         MeasureSpec(PAST, MIN_RSSU, 2)
@@ -204,6 +225,12 @@ def test_spec_validation():
         MeasureSpec(PAST, SRS, 0)
     with pytest.raises(DomainError):
         MeasureSpec("sideways", SRS, 1)
+    with pytest.raises(DomainError, match=r"^unknown design 'sideways'$"):
+        MeasureSpec(PAST, "sideways", 1)
+
+
+def test_plain_variant_has_no_closed_form():
+    assert closed_form(gx.uniform(), gx.power_weight(1.0), MeasureSpec(PLAIN)) is None
 
 
 def test_integrand_kinds_are_the_indexed_factors_and_delta_gwj():

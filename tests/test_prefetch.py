@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import gwextropy as gx
-from gwextropy import distributions, measures, quadrature, weights
+from gwextropy import distributions, measures, quadrature
 from gwextropy.errors import DomainError, IntegrandError
 from gwextropy.measures import MAX_RSSU, MIN_RSSU, PAST, PLAIN, RESIDUAL, SRS, MeasureSpec, measure_report
 from gwextropy.weights import eval_weight
@@ -67,7 +67,7 @@ def test_array_evaluation_is_bit_identical_for_each_prefetched_distribution(dist
 @pytest.mark.parametrize("weight", EXACT_WEIGHTS)
 def test_array_evaluation_is_bit_identical_for_each_prefetched_weight(weight):
     w = gx.parse_weight(weight)
-    assert w in weights._ARRAY_EXACT
+    assert w in distributions._ARRAY_EXACT
     # the points the integrand feeds the weight: quantiles of the distributions above
     for dist in ("uniform:0,1", "exp:1", "transform:exp_minus_one(exp:1)"):
         d = gx.parse_distribution(dist)
@@ -106,9 +106,9 @@ def test_only_the_factories_mark_a_family_for_the_prefetch():
     )
     assert direct not in exact and gx.transform(direct, gx.IDENTITY) not in exact
     p = gx.power_weight(1.0)
-    assert gx.custom_weight(p.eval) not in weights._ARRAY_EXACT
+    assert gx.custom_weight(p.eval) not in exact
     direct_weight = gx.WeightFunction(p.eval, p.family_tag, p.monotonicity_hint, p.params, p.label)
-    assert direct_weight not in weights._ARRAY_EXACT
+    assert direct_weight not in exact
 
 
 def _registry_cases():

@@ -202,3 +202,10 @@ def test_missing_extension_files_fall_back_to_the_package_imports():
     result = integrate_unit_interval(lambda u: u**2.5)
     expected = repr((result.value, result.abs_error_estimate, result.subdivisions, result.converged))
     assert proc.stdout == f"{expected}\nTrue True\n"
+
+
+def test_guarded_snaps_an_endpoint_hit_to_the_nearest_interior_double():
+    seen = []
+    wrapped = _guarded(lambda u: seen.append(u) or 1.0, 0.0, 1.0)
+    assert wrapped(0.0) == 1.0 and wrapped(1.0) == 1.0
+    assert seen == [5e-324, 1.0 - 2.0**-53]

@@ -114,3 +114,19 @@ def test_literal_route_reproducible():
 def test_exponential_samples_nonnegative():
     s = gx.draw_design(gx.exponential(0.5), gx.MIN_RSSU, 10, 9)
     assert np.all(s.values >= 0.0)
+
+
+def test_input_checks_name_the_bad_argument():
+    with pytest.raises(DomainError, match=r"^unknown design 'single'$"):
+        gx.draw_design(gx.uniform(), "single", 3, 1)
+    with pytest.raises(DomainError, match=r"^replicate count must be a positive integer, got 0$"):
+        next(gx.replicate(gx.uniform(), gx.SRS, 3, 1, 0))
+
+
+@pytest.mark.parametrize("literal", [False, True])
+@pytest.mark.parametrize("design", [gx.SRS, gx.MIN_RSSU, gx.MAX_RSSU])
+def test_a_sample_too_large_for_an_array_is_a_domain_error(design, literal):
+    # 10**20 float64s exceed numpy's intp byte count, so this fails before allocating
+    message = "sample size 100000000000000000000 is too large: its float64 uniforms exceed numpy's array size limit"
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        gx.draw_design(gx.uniform(), design, 10**20, 1, literal)

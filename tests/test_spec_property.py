@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from gwextropy.cli import run_command
 from gwextropy.distributions import TRANSFORMATIONS, exponential, parse_distribution, power_survival, transform, uniform
 from gwextropy.errors import DomainError, InvalidTransformationError, ParseError
-from gwextropy.weights import parse_weight
+from gwextropy.weights import constant_weight, exp_decay_weight, parse_weight, power_weight
 
 numbers = st.sampled_from(["nan", "inf", "-inf", "-0", "0", "5e-324", "1e308", "-1e308", "0.5", "1", "2", "-1"])
 DIST_FAMILIES = (("uniform", 2), ("exp", 1), ("powersurv", 1))
@@ -83,10 +83,17 @@ def test_token_strings_parse_or_raise_parse_error(text):
     _parses(parse_weight, text)
 
 
-FACTORIES = {"uniform": (uniform, 2), "exp": (exponential, 1), "powersurv": (power_survival, 1)}
+FACTORIES = {
+    "uniform": (uniform, 2, parse_distribution),
+    "exp": (exponential, 1, parse_distribution),
+    "powersurv": (power_survival, 1, parse_distribution),
+    "power": (power_weight, 1, parse_weight),
+    "const": (constant_weight, 1, parse_weight),
+    "expdecay": (exp_decay_weight, 1, parse_weight),
+}
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
     family=st.sampled_from(sorted(FACTORIES)),
     params=st.lists(st.floats(allow_nan=False), min_size=2, max_size=2),
@@ -95,18 +102,23 @@ FACTORIES = {"uniform": (uniform, 2), "exp": (exponential, 1), "powersurv": (pow
 @example(family="exp", params=[1.2345678, 0.0], wrap=None)
 @example(family="uniform", params=[1e16, 1e16 + 2], wrap="identity")
 @example(family="uniform", params=[-0.0, 0.1], wrap="exp_minus_one")
+@example(family="power", params=[1.2345678, 0.0], wrap=None)
+@example(family="power", params=[123456789.0, 0.0], wrap=None)
+@example(family="const", params=[0.1234567, 0.0], wrap=None)
+@example(family="expdecay", params=[1e308, 0.0], wrap=None)
 def test_a_label_parses_back_to_the_distribution_it_names(family, params, wrap):
-    build, arity = FACTORIES[family]
+    # weights too: a transform wraps distributions only
+    build, arity, parse = FACTORIES[family]
     try:
         # extreme parameters overflow inside numpy; its warnings are expected here
         with np.errstate(all="ignore"):
             base = build(*params[:arity])
-            d = base if wrap is None else transform(base, TRANSFORMATIONS[wrap])
-            rebuilt_base, rebuilt = parse_distribution(base.label), parse_distribution(d.label)
+            named = base if wrap is None or parse is parse_weight else transform(base, TRANSFORMATIONS[wrap])
+            rebuilt_base, rebuilt = parse(base.label), parse(named.label)
     except (DomainError, InvalidTransformationError):
         return
     assert [p.hex() for p in rebuilt_base.params] == [p.hex() for p in base.params]
-    assert rebuilt.label == d.label
+    assert rebuilt_base.label == base.label and rebuilt.label == named.label
 
 
 def _reject_constant(token):

@@ -156,3 +156,21 @@ def test_malformed_custom_outputs_raise_weight_validity_errors(fn, x, message):
     if np.ndim(x):
         with pytest.raises(WeightValidityError, match=f"^{re.escape(message)}$"):
             gx.check_monotone_weight(w, 0.0, 1.0, len(x))
+
+
+def test_custom_weight_rejects_an_unknown_hint():
+    with pytest.raises(DomainError, match=r"^unknown monotonicity hint 'sideways'$"):
+        gx.custom_weight(lambda x: x, "sideways")
+
+
+def test_check_monotone_weight_input_checks():
+    w = gx.power_weight(1.0)
+    with pytest.raises(DomainError, match=r"^need lo < hi, got \(1\.0, 1\.0\)$"):
+        gx.check_monotone_weight(w, 1.0, 1.0)
+    with pytest.raises(DomainError, match=r"^need at least 2 grid points, got 1$"):
+        gx.check_monotone_weight(w, 0.0, 1.0, 1)
+
+
+def test_a_flat_weight_with_an_unknown_hint_reads_decreasing():
+    flat = gx.custom_weight(lambda x: np.ones_like(np.asarray(x, float)))
+    assert gx.check_monotone_weight(flat, 0.0, 1.0) == "decreasing"

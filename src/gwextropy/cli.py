@@ -5,8 +5,9 @@ estimate (empirical estimators on a CSV of observations), verify (theorem
 suite as a JSON array), converge (estimator error ladder as CSV).
 
 Exit codes: 0 success, 1 a theorem conclusion failed under passing
-hypotheses, 2 usage or specification errors, 3 divergent computation or a
-float overflow (Python's float ** and math functions raise OverflowError).
+hypotheses, 2 usage or specification errors and failed allocations, 3
+divergent computation or a float overflow (Python's float ** and math
+functions raise OverflowError).
 
 Numbers in JSON are rounded to 12 significant digits, and non-finite ones are
 the strings "inf", "-inf" and "nan"; CSV uses the shortest round-trip
@@ -54,7 +55,6 @@ from .weights import parse_weight, power_weight
 
 _DESIGNS = {"single": SINGLE, "srs": SRS, "minrssu": MIN_RSSU, "maxrssu": MAX_RSSU}
 _SAMPLING_DESIGNS = ["srs", "minrssu", "maxrssu"]
-_VARIANTS = {"past": PAST, "residual": RESIDUAL}
 
 
 def _json_number(x):
@@ -80,7 +80,7 @@ def _emit(text: str, out_path: str | None) -> None:
 def _cmd_measure(args) -> int:
     d = parse_distribution(args.dist)
     w = parse_weight(args.weight)
-    spec = MeasureSpec(_VARIANTS[args.variant], _DESIGNS[args.design], args.n)
+    spec = MeasureSpec(args.variant, _DESIGNS[args.design], args.n)
     report = measure_report(d, w, spec)
     payload = {"value": _json_number(report.value)}
     registered = closed_form(d, w, spec)
@@ -133,7 +133,7 @@ def _cmd_estimate(args) -> int:
         except ValueError as exc:
             raise ParseError(f"bad bandwidth {args.bandwidth!r}") from exc
     cfg = EstimatorConfig(
-        variant=_VARIANTS[args.variant],
+        variant=args.variant,
         m=args.m,
         style=args.style,
         kernel=args.kernel,
@@ -189,7 +189,6 @@ def _cmd_verify(args) -> int:
 def _cmd_converge(args) -> int:
     d = parse_distribution(args.dist)
     w = power_weight(args.m)
-    variant = _VARIANTS[args.variant]
     design = _DESIGNS[args.design]
     sizes = []
     for token in args.sizes.split(","):
@@ -204,8 +203,8 @@ def _cmd_converge(args) -> int:
     if args.seeds < 1:
         raise ParseError(f"need at least one seed, got {args.seeds}")
 
-    truth = gw_cumulative(d, w, variant)
-    cfg = EstimatorConfig(variant=variant, m=args.m, style="step")
+    truth = gw_cumulative(d, w, args.variant)
+    cfg = EstimatorConfig(variant=args.variant, m=args.m, style="step")
 
     lines = ["sample_size,design,variant,estimate,truth,abs_err,rel_err,seed"]
     cells = sorted((size, derive_seed(args.seed, r)) for size in sizes for r in range(args.seeds))
@@ -230,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     measure = sub.add_parser("measure", help="analytic measure value as JSON")
     measure.add_argument("--dist", required=True, help="uniform:a,b | exp:rate | powersurv:b | transform:name(spec)")
     measure.add_argument("--weight", required=True, help="power:m | const:c | expdecay:a")
-    measure.add_argument("--variant", required=True, choices=sorted(_VARIANTS))
+    measure.add_argument("--variant", required=True, choices=(PAST, RESIDUAL))
     measure.add_argument("--design", default="single", choices=sorted(_DESIGNS))
     measure.add_argument("--n", type=int, default=1, help="design size (1 for single)")
     measure.add_argument("--out", default=None)
@@ -251,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     estimate = sub.add_parser("estimate", help="empirical estimate from a CSV of observations")
     estimate.add_argument("--input", required=True, help="CSV file: `value` lines or `i,value` rows")
-    estimate.add_argument("--variant", required=True, choices=sorted(_VARIANTS))
+    estimate.add_argument("--variant", required=True, choices=(PAST, RESIDUAL))
     estimate.add_argument("--m", type=float, default=1.0, help="power weight exponent")
     estimate.add_argument("--style", default="step", choices=["step", "kernel"])
     estimate.add_argument("--kernel", default="gaussian", choices=["gaussian", "epanechnikov"])
@@ -267,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     converge = sub.add_parser("converge", help="estimator error over a sample-size ladder")
     converge.add_argument("--dist", required=True)
     converge.add_argument("--m", type=float, default=1.0)
-    converge.add_argument("--variant", required=True, choices=sorted(_VARIANTS))
+    converge.add_argument("--variant", required=True, choices=(PAST, RESIDUAL))
     converge.add_argument("--design", default="srs", choices=_SAMPLING_DESIGNS)
     converge.add_argument("--sizes", required=True, help="comma-separated sample sizes")
     converge.add_argument("--seeds", type=int, required=True, help="number of replicates per size")
@@ -294,6 +293,9 @@ def run_command(argv) -> int:
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -140,8 +140,8 @@ def pdf_at_quantile(d: Distribution, u):
 def uniform(a: float = 0.0, b: float = 1.0) -> Distribution:
     """Uniform distribution on (a, b)."""
     a, b = float(a), float(b)
-    if not b > a:
-        raise DomainError(f"uniform needs b > a, got ({a}, {b})")
+    if not -math.inf < a < b < math.inf:
+        raise DomainError(f"uniform needs finite a < b, got ({a}, {b})")
     width = b - a
 
     return _array_exact(Distribution(
@@ -162,8 +162,8 @@ def uniform(a: float = 0.0, b: float = 1.0) -> Distribution:
 def exponential(rate: float) -> Distribution:
     """Exponential distribution with the given rate (quantile -ln(1-u)/rate)."""
     rate = float(rate)
-    if not rate > 0:
-        raise DomainError(f"exponential needs rate > 0, got {rate}")
+    if not 0 < rate < math.inf:
+        raise DomainError(f"exponential needs finite rate > 0, got {rate}")
 
     def cdf(x):
         x = np.asarray(x, float)
@@ -189,8 +189,8 @@ def exponential(rate: float) -> Distribution:
 def power_survival(b: float) -> Distribution:
     """Distribution on (0,1) with survival function (1-x)^b."""
     b = float(b)
-    if not b > 0:
-        raise DomainError(f"power_survival needs b > 0, got {b}")
+    if not 0 < b < math.inf:
+        raise DomainError(f"power_survival needs finite b > 0, got {b}")
 
     def cdf(x):
         x = np.asarray(x, float)

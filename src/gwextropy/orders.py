@@ -51,6 +51,8 @@ from .measures import (
 from .weights import DEFAULT_GRID_POINTS, WeightFunction, _on_grid, eval_weight
 
 TOLERANCE = 1e-9
+_SUITE_GRID_POINTS = 257  # quantile levels of the suite's order, psi-sign and density-ratio checks
+_LEMMA1_GRID_POINTS = 64  # quantile levels of check_lemma1's order checks
 
 DISP = "disp"
 CONVEX_TRANSFORM = "convex_transform"
@@ -149,7 +151,6 @@ class TheoremCase:
     transformation: Transformation | None = None
     w2: WeightFunction | None = None
     n_values: tuple[int, ...] = (1, 2, 3)
-    grid_points: int = 257
 
 
 def _interior_grid(grid_points: int) -> np.ndarray:
@@ -173,9 +174,6 @@ def check_order(kind: str, dX: Distribution, dY: Distribution, grid_points: int 
     if grid_points < 10:
         raise DomainError(f"need at least 10 grid points, got {grid_points}")
     grid_points = int(grid_points)
-    if dX is dY:
-        # The defining maps coincide identically, so every margin is exactly 0.
-        return OrderVerdict(kind, True, grid_points, 0.0)
     if kind in (STAR, SUPERADDITIVE):
         for d in (dX, dY):
             if d.support_lower != 0.0:
@@ -222,7 +220,7 @@ def _density_near_origin(d: Distribution) -> float:
     return float(pdf_at_quantile(d, 1e-9))
 
 
-def check_lemma1(dX: Distribution, dY: Distribution, grid_points: int = 64) -> Lemma1Report:
+def check_lemma1(dX: Distribution, dY: Distribution) -> Lemma1Report:
     """Check that a shape order plus f(0) >= g(0) > 0 yields the dispersive order.
 
     Pairs whose supports do not both start at 0 are reported not applicable
@@ -234,10 +232,10 @@ def check_lemma1(dX: Distribution, dY: Distribution, grid_points: int = 64) -> L
     g0 = _density_near_origin(dY)
     density_condition = g0 > 0.0 and f0 >= g0 - TOLERANCE
     shape = {
-        kind: check_order(kind, dX, dY, grid_points)
+        kind: check_order(kind, dX, dY, _LEMMA1_GRID_POINTS)
         for kind in (SUPERADDITIVE, STAR, CONVEX_TRANSFORM)
     }
-    disp = check_order(DISP, dX, dY, grid_points)
+    disp = check_order(DISP, dX, dY, _LEMMA1_GRID_POINTS)
     premise = density_condition and any(v.holds_X_le_Y for v in shape.values())
     return Lemma1Report(
         applicable=True,
@@ -344,7 +342,7 @@ def _comparison_reports(case: TheoremCase, sequences: dict) -> list[TheoremRepor
     lo = min(dX.support_lower, dY.support_lower)
     hi = max(float(quantile(dX, 0.995)), float(quantile(dY, 0.995)))
 
-    disp = check_order(DISP, dX, dY, case.grid_points)
+    disp = check_order(DISP, dX, dY, _SUITE_GRID_POINTS)
     upper_x, upper_y = dX.support_upper, dY.support_upper
     endpoints_ok = math.isfinite(upper_x) and math.isfinite(upper_y) and upper_x == upper_y
     hypotheses = [
@@ -374,9 +372,9 @@ def _comparison_reports(case: TheoremCase, sequences: dict) -> list[TheoremRepor
 
 
 def _psi_condition_check(
-    dX: Distribution, t: Transformation, w: WeightFunction, grid_points: int
+    dX: Distribution, t: Transformation, w: WeightFunction
 ) -> tuple[str | None, HypothesisCheck]:
-    u = _interior_grid(grid_points)
+    u = _interior_grid(_SUITE_GRID_POINTS)
     x = np.asarray(quantile(dX, u), float)
     transformed = eval_weight(w, np.asarray(t.psi(x), float)) * np.asarray(t.psi_prime(x), float)
     delta = transformed - eval_weight(w, x)
@@ -404,7 +402,7 @@ def _psi_reports(case: TheoremCase, sequences: dict) -> list[TheoremReport]:
             for tid in (T3_PSI, T4_MAX_PSI, T4_MIN_PSI)
         ]
 
-    side, side_check = _psi_condition_check(dX, t, w, case.grid_points)
+    side, side_check = _psi_condition_check(dX, t, w)
     hypotheses = [HypothesisCheck(psi_name, True, None), side_check]
     swap = side == "le"
     reports = []
@@ -444,11 +442,11 @@ def _dominance_reports(case: TheoremCase, sequences: dict) -> list[TheoremReport
 
 def _monotone_reports(case: TheoremCase, sequences: dict) -> list[TheoremReport]:
     dX, w = case.dX, case.w1
-    u = _interior_grid(case.grid_points)
+    u = _interior_grid(_SUITE_GRID_POINTS)
     x = np.asarray(quantile(dX, u), float)
     ratio = eval_weight(w, x) / np.asarray(pdf_at_quantile(dX, u), float)
     ratio_margin = 1.0 - float(np.max(ratio))
-    ratio_check = _margin_check("w(Q(u))/f(Q(u)) <= 1", ratio_margin, f"grid={case.grid_points}")
+    ratio_check = _margin_check("w(Q(u))/f(Q(u)) <= 1", ratio_margin, f"grid={_SUITE_GRID_POINTS}")
     n_lo, n_hi = min(case.n_values), max(case.n_values)
     subject = f"X={dX.label}, w={w.label}, n={n_lo}..{n_hi}"
     reports = []

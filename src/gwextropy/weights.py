@@ -1,10 +1,10 @@
 """Nonnegative weight functions and the monotonicity checks that gate
 the comparison theorems.
 
-Families: Power(m) with w(x) = x^m for m > 0, Constant(c) with c >= 0,
-ExpDecay(a) with w(x) = e^{-ax} for a > 0, and Custom callables. A weight
-carries a monotonicity hint so that grid checks on a flat weight can still
-resolve a direction.
+Families, each parameter finite: Power(m) with w(x) = x^m for m > 0,
+Constant(c) with c >= 0, ExpDecay(a) with w(x) = e^{-ax} for a > 0, and Custom
+callables. A weight carries a monotonicity hint so that grid checks on a flat
+weight can still resolve a direction.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ class WeightFunction:
 def power_weight(m: float) -> WeightFunction:
     """w(x) = x^m on x >= 0, m > 0."""
     m = float(m)
-    if not m > 0:
-        raise DomainError(f"power weight needs m > 0, got {m}")
+    if not 0 < m < math.inf:
+        raise DomainError(f"power weight needs finite m > 0, got {m}")
 
     def _eval(x):
         arr = np.asarray(x, float)
@@ -64,8 +64,8 @@ def constant_weight(c: float = 1.0) -> WeightFunction:
     theorems, so the hint says decreasing.
     """
     c = float(c)
-    if c < 0:
-        raise DomainError(f"constant weight needs c >= 0, got {c}")
+    if not 0 <= c < math.inf:
+        raise DomainError(f"constant weight needs finite c >= 0, got {c}")
 
     def _eval(x):
         return np.full_like(np.asarray(x, float), c)
@@ -76,8 +76,8 @@ def constant_weight(c: float = 1.0) -> WeightFunction:
 def exp_decay_weight(a: float) -> WeightFunction:
     """w(x) = e^{-ax} with a > 0."""
     a = float(a)
-    if not a > 0:
-        raise DomainError(f"exp decay weight needs a > 0, got {a}")
+    if not 0 < a < math.inf:
+        raise DomainError(f"exp decay weight needs finite a > 0, got {a}")
 
     def _eval(x):
         return np.exp(-a * np.asarray(x, float))
@@ -137,15 +137,13 @@ def _invalid(w: WeightFunction, bad) -> WeightValidityError:
     )
 
 
-def _on_grid(w: WeightFunction, lo: float, hi: float, grid_points: int = DEFAULT_GRID_POINTS):
-    """w on grid_points evenly spaced points of [lo, hi]; the grid every weight check reads."""
-    return eval_weight(w, np.linspace(lo, hi, int(grid_points)))
+def _on_grid(w: WeightFunction, lo: float, hi: float):
+    """w at DEFAULT_GRID_POINTS even steps over [lo, hi]: the grid every weight check reads."""
+    return eval_weight(w, np.linspace(lo, hi, DEFAULT_GRID_POINTS))
 
 
-def check_monotone_weight(
-    w: WeightFunction, lo: float, hi: float, grid_points: int = DEFAULT_GRID_POINTS
-) -> str:
-    """Grid verdict on the direction of w over [lo, hi].
+def check_monotone_weight(w: WeightFunction, lo: float, hi: float) -> str:
+    """Grid verdict on the direction of w over [lo, hi], on DEFAULT_GRID_POINTS points.
 
     Returns "increasing", "decreasing", or "neither" (both a strict rise and
     a strict fall observed). A grid with no strict movement falls back to the
@@ -155,9 +153,7 @@ def check_monotone_weight(
     lo, hi = float(lo), float(hi)
     if not lo < hi:
         raise DomainError(f"need lo < hi, got ({lo}, {hi})")
-    if grid_points < 2:
-        raise DomainError(f"need at least 2 grid points, got {grid_points}")
-    steps = np.diff(_on_grid(w, lo, hi, grid_points))
+    steps = np.diff(_on_grid(w, lo, hi))
     rises = bool(np.any(steps > 0.0))
     falls = bool(np.any(steps < 0.0))
     if rises and falls:

@@ -1,5 +1,6 @@
 """Command-line behavior: payload shapes, determinism, and exit codes."""
 
+import contextlib
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import gwextropy as gx
+from gwextropy import cli
 from gwextropy.cli import _json_number, run_command
 
 
@@ -174,8 +176,13 @@ def test_exit_codes(tmp_path, capsys):
 )
 def test_zero_density_is_a_specification_error(capsys, dist, variant, design, label):
     n = "1" if design == "single" else "2"
-    code = run_command(["measure", "--dist", dist, "--weight", "const:1", "--variant", variant,
-                        "--design", design, "--n", n])
+    expected = contextlib.nullcontext()
+    if dist.startswith("exp:"):
+        # Q(u) = -log(1-u)/5e-324 overflows in numpy before the zero density is seen
+        expected = pytest.warns(RuntimeWarning, match="overflow")
+    with expected:
+        code = run_command(["measure", "--dist", dist, "--weight", "const:1", "--variant", variant,
+                            "--design", design, "--n", n])
     assert code == 2
     assert capsys.readouterr().err == f"error: density f(Q(u)) of {label} is 0.0 at u=0.5; it must be > 0\n"
 
@@ -339,3 +346,54 @@ def test_an_unallocatable_sample_size_exits_2(capsys, argv):
     assert run_command(argv) == 2
     message = "sample size 100000000000000000000 is too large: its float64 uniforms exceed numpy's array size limit"
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["simulate", "--dist", "uniform:-inf,0", "--n", "3"],
+      "bad distribution spec 'uniform:-inf,0': uniform needs finite a < b, got (-inf, 0.0)"),
+     (["simulate", "--dist", "uniform:0,inf", "--n", "3"],
+      "bad distribution spec 'uniform:0,inf': uniform needs finite a < b, got (0.0, inf)"),
+     (["measure", "--dist", "exp:inf", "--weight", "const:1", "--variant", "residual"],
+      "bad distribution spec 'exp:inf': exponential needs finite rate > 0, got inf"),
+     (["measure", "--dist", "powersurv:inf", "--weight", "const:1", "--variant", "residual"],
+      "bad distribution spec 'powersurv:inf': power_survival needs finite b > 0, got inf"),
+     (["measure", "--dist", "exp:1", "--weight", "const:inf", "--variant", "residual"],
+      "bad weight spec 'const:inf': constant weight needs finite c >= 0, got inf"),
+     (["measure", "--dist", "exp:1", "--weight", "const:nan", "--variant", "residual"],
+      "bad weight spec 'const:nan': constant weight needs finite c >= 0, got nan"),
+     (["measure", "--dist", "exp:1", "--weight", "power:inf", "--variant", "residual"],
+      "bad weight spec 'power:inf': power weight needs finite m > 0, got inf"),
+     (["measure", "--dist", "exp:1", "--weight", "expdecay:inf", "--variant", "residual"],
+      "bad weight spec 'expdecay:inf': exp decay weight needs finite a > 0, got inf")],
+)
+def test_a_non_finite_family_parameter_is_a_specification_error(capsys, argv, message):
+    assert run_command(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "error, message",
+    [(MemoryError("Unable to allocate 745. PiB for an array with shape (100000000000000000,) and data type float64"),
+      "Unable to allocate 745. PiB for an array with shape (100000000000000000,) and data type float64"),
+     (MemoryError(), "out of memory")],
+)
+def test_a_failed_allocation_exits_2(capsys, monkeypatch, error, message):
+    def draw_design(*args):
+        raise error
+
+    monkeypatch.setattr(cli, "draw_design", draw_design)
+    assert run_command(["simulate", "--dist", "exp:1", "--n", "100000000000000000"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_console_main_exits_with_the_command_code(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["gwextropy", "simulate", "--dist", "exp:1", "--n", "2", "--seed", "3"])
+    with pytest.raises(SystemExit) as info:
+        cli.console_main()
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("i,value\n1,")
+    monkeypatch.setattr(sys, "argv", ["gwextropy", "simulate", "--dist", "exp:inf", "--n", "2"])
+    with pytest.raises(SystemExit) as info:
+        cli.console_main()
+    assert info.value.code == 2

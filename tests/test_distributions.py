@@ -293,6 +293,12 @@ def test_parse_distribution_round_trips():
         "powersurv:-2",
         "transform:nope(exp:1)",
         "transform:exp_minus_one(",
+        "uniform:-inf,0",
+        "uniform:0,inf",
+        "uniform:nan,1",
+        "exp:inf",
+        "powersurv:inf",
+        "transform:identity(exp:inf)",
     ],
 )
 def test_parse_distribution_rejects(text):

@@ -1,13 +1,15 @@
 """Stochastic order certificates and the hypothesis-gated theorem suite."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import gwextropy as gx
 from gwextropy import measures, orders
-from gwextropy.errors import DomainError, IntegrandError, WeightValidityError
+from gwextropy.errors import DomainError, ExtropyError, IntegrandError, WeightValidityError
 from gwextropy.orders import (
     CONVEX_TRANSFORM,
     DISP,
@@ -99,6 +101,35 @@ def test_check_order_guards():
         check_order("sideways", U01, U02)
     with pytest.raises(DomainError):
         check_order(DISP, U01, U02, grid_points=5)
+
+
+def _order_outcome(kind, dX, dY, grid):
+    """check_order's verdict, or its error's type and message, with the warnings raised on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = repr(check_order(kind, dX, dY, grid))
+        except ExtropyError as exc:
+            outcome = (type(exc), str(exc))
+    return outcome, [(w.category, str(w.message)) for w in caught]
+
+
+IDENTITY_INPUTS = [
+    "uniform:0,1", "uniform:1,2", "uniform:-1,1", "uniform:1e16,10000000000000002",
+    "exp:1", "exp:0.5", "exp:5e-324", "powersurv:0.01", "powersurv:2", "powersurv:50",
+    "transform:exp_minus_one(uniform:0,1)", "transform:identity(exp:1)",
+    "transform:exp_minus_one(powersurv:2)",
+]
+
+
+@pytest.mark.parametrize("kind", [DISP, CONVEX_TRANSFORM, STAR, SUPERADDITIVE, ST])
+def test_one_object_on_both_sides_is_checked_like_an_equal_copy(kind):
+    # X <= X holds for every order, but only where the order is defined: the
+    # support, monotonicity and finiteness checks run for one object as for two
+    for d in [*map(gx.parse_distribution, IDENTITY_INPUTS), sqrt_quantile_dist()]:
+        for grid in (10, 257):
+            same = _order_outcome(kind, d, d, grid)
+            assert same == _order_outcome(kind, d, dataclasses.replace(d), grid), (d.label, grid)
 
 
 def test_lemma1_consistency_on_registered_pairs():

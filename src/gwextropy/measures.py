@@ -257,31 +257,19 @@ class _FactorSequence:
         """The measure of spec, from factor 1 (single, SRS, plain) or factors 1..n (RSSU).
 
         The value is -1/2 times factor 1 raised to n, or times the product of
-        factors 1..n. The reported quadrature_error bounds |value - exact| to
-        first order. It propagates each factor's error through the power or
-        product and the -1/2; a factor's error is the larger of the quadrature
-        estimate, which can undershoot on smooth integrands, and
-        DEFAULT_REL_TOL * |factor|, the accuracy a converged integral is
-        certified to.
+        factors 1..n. Each factor converged to DEFAULT_REL_TOL relative, so
+        quadrature_error = n * DEFAULT_REL_TOL * |value| bounds |value - exact|
+        to first order.
         """
         powered = spec.design in (SINGLE, SRS)
         factors = self._factors(spec, 1 if powered else spec.n)
-        values = [res.value for res in factors]
-        errors = [max(res.abs_error_estimate, DEFAULT_REL_TOL * abs(res.value)) for res in factors]
-        if powered:
-            try:
-                value = values[0] ** spec.n
-                error = 0.5 * spec.n * abs(values[0]) ** (spec.n - 1) * errors[0]
-            except OverflowError:  # the power, or n, beyond the float range: the limit as n -> inf
-                value = values[0] ** math.inf
-                error = 0.0 if value == 0.0 else math.inf
-        else:
-            value = math.prod(values)
-            error = 0.5 * sum(
-                err * math.prod(abs(v) for j, v in enumerate(values) if j != i)
-                for i, err in enumerate(errors)
-            )
-        return MeasureReport(-0.5 * value, factors, error)
+        try:
+            value = -0.5 * (factors[0].value ** spec.n if powered else math.prod(res.value for res in factors))
+            error = spec.n * DEFAULT_REL_TOL * abs(value)
+        except OverflowError:  # the power, or n, beyond the float range: the limit as n -> inf
+            value = -0.5 * factors[0].value ** math.inf
+            error = 0.0 if value == 0.0 else math.inf
+        return MeasureReport(value, factors, error)
 
 
 def measure_report(d: Distribution, w: WeightFunction, spec: MeasureSpec) -> MeasureReport:

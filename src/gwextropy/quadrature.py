@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import DomainError, IntegrandError
 
-DEFAULT_ABS_TOL = 1e-10
 DEFAULT_REL_TOL = 1e-8
 DEFAULT_MAX_SUBDIVISIONS = 10_000
 
@@ -101,9 +100,9 @@ def _panel_nodes(centre: float) -> np.ndarray:
 class IntegrationResult:
     """Outcome of one adaptive integration.
 
-    ``converged`` is True only when the error estimate met the requested
-    tolerance; an exhausted subdivision budget yields an unconverged result,
-    never an exception.
+    ``converged`` is True only when the error estimate is at most
+    DEFAULT_REL_TOL times the value; an exhausted subdivision budget yields an
+    unconverged result, never an exception.
     """
 
     value: float
@@ -134,13 +133,14 @@ def integrate_interval(f: Callable[[float], float], lower: float, upper: float) 
     if not (0.0 <= lower < upper <= 1.0):
         raise DomainError(f"need 0 <= lower < upper <= 1, got ({lower}, {upper})")
     # The exact call scipy.integrate.quad makes for a finite interval: no
-    # extra arguments, full output, then the tolerances and the budget.
+    # extra arguments, full output, then the tolerances (no absolute one) and
+    # the budget.
     value, abs_err, info, ier = _qagse(
-        _guarded(f, lower, upper), lower, upper, (), 1, DEFAULT_ABS_TOL, DEFAULT_REL_TOL, DEFAULT_MAX_SUBDIVISIONS
+        _guarded(f, lower, upper), lower, upper, (), 1, 0.0, DEFAULT_REL_TOL, DEFAULT_MAX_SUBDIVISIONS
     )
     value, abs_err = float(value), float(abs_err)
     # ier != 0 is QUADPACK's flag that the tolerance was not certified.
-    converged = ier == 0 and abs_err <= max(DEFAULT_ABS_TOL, DEFAULT_REL_TOL * abs(value))
+    converged = ier == 0 and abs_err <= DEFAULT_REL_TOL * abs(value)
     return IntegrationResult(value, abs_err, int(info["last"]), converged)
 
 

@@ -63,10 +63,13 @@ def _generator(seed: int) -> np.random.Generator:
 
 
 def _uniforms(gen: np.random.Generator, count: int) -> np.ndarray:
-    # (k + 1/2) / 2^53 over k < 2^53 is strictly inside (0,1), so quantile
-    # functions are never evaluated at 0 or 1.
+    # (k + 1/2) / 2^53 over k < 2^53, so quantile functions are never
+    # evaluated at 0 or 1. k + 1/2 rounds to 2^53 for k = 2^53 - 1 alone,
+    # which the cap takes to the largest double below 1.
     ints = gen.integers(0, 1 << 53, size=count, dtype=np.uint64)
-    return (ints.astype(np.float64) + 0.5) * 2.0**-53
+    u = ints + 0.5
+    u *= 2.0**-53
+    return np.minimum(u, 1.0 - 2.0**-53, out=u)
 
 
 def draw_design(

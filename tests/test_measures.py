@@ -272,13 +272,35 @@ def test_wrappers_return_the_report_value():
 
 
 @pytest.mark.parametrize(
-    "m, b", [(1.114908283726553, 0.6300532526610241), (1.0002102221354776, 2.669103623686228)]
+    "m, b, n",
+    [
+        # smooth factors on which the adaptive error estimate alone undershoots
+        (1.114908283726553, 0.6300532526610241, 1),
+        (1.0002102221354776, 2.669103623686228, 1),
+        # factors far below 1e-2, which an absolute tolerance stopped short
+        (400.0, 2.0, 1),
+        (400.0, 2.0, 2),
+        (400.0, 2.0, 3),
+        (400.0, 2.0, 5),
+        (60.0, 5.0, 2),
+        (60.0, 5.0, 3),
+    ],
 )
-def test_quadrature_error_bounds_registry_error(m, b):
-    # smooth powersurv factors on which the adaptive error estimate alone undershoots
-    d, w, spec = gx.power_survival(b), gx.power_weight(m), MeasureSpec(RESIDUAL, MIN_RSSU, 1)
+def test_quadrature_error_bounds_registry_error(m, b, n):
+    d, w, spec = gx.power_survival(b), gx.power_weight(m), MeasureSpec(RESIDUAL, MIN_RSSU, n)
     report = measure_report(d, w, spec)
     assert abs(report.value - closed_form(d, w, spec)) <= report.quadrature_error
+
+
+@pytest.mark.parametrize("variant", [PAST, RESIDUAL, PLAIN])
+def test_a_factor_short_of_the_relative_tolerance_diverges(variant):
+    # the factor of powersurv:5 with power:400 has its mass within about
+    # 1e-13 of u = 1, where dqagse's nodes do not reach: what they see is 35
+    # to 50 orders of magnitude too small and never meets the relative tolerance
+    d, w = gx.power_survival(5.0), gx.power_weight(400.0)
+    with pytest.raises(DivergenceError) as excinfo:
+        measure_report(d, w, MeasureSpec(variant))
+    assert excinfo.value.variant == variant
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,6 @@ from gwextropy import quadrature
 from gwextropy.errors import DomainError, IntegrandError
 from gwextropy.measures import DELTA_GWJ, PHI_I, PSI_I, IntegrandKind, make_integrand
 from gwextropy.quadrature import (
-    DEFAULT_ABS_TOL,
     DEFAULT_MAX_SUBDIVISIONS,
     DEFAULT_REL_TOL,
     IntegrationResult,
@@ -74,6 +73,16 @@ def test_error_estimate_is_honest():
     assert abs(result.value - exact) <= max(result.abs_error_estimate, 1e-12)
 
 
+def test_convergence_is_relative_to_the_value():
+    # a sign-changing integrand whose integral is 0 cannot meet a relative
+    # tolerance, yet its value and error estimate still come back
+    result = integrate_unit_interval(lambda u: math.sin(2 * math.pi * u))
+    assert not result.converged
+    assert abs(result.value) <= result.abs_error_estimate < 1e-12
+    # an integrand that is exactly 0 has a zero error estimate and converges
+    assert integrate_unit_interval(lambda u: 0.0) == IntegrationResult(0.0, 0.0, 1, True)
+
+
 def test_nonintegrable_pole_reports_unconverged():
     result = integrate_unit_interval(lambda u: 1.0 / u)
     assert not result.converged
@@ -114,7 +123,7 @@ def _pin_cases():
         ("transform:exp_minus_one(exp:1)", "power:1", PHI_I),
         ("transform:exp_minus_one(exp:1.01)", "power:1", PHI_I),
         ("powersurv:0.5", "const:1", DELTA_GWJ),  # unbounded density
-        ("powersurv:2", "power:400", PHI_I),  # factor far below the absolute tolerance
+        ("powersurv:2", "power:400", PHI_I),  # factor far below 1e-2
         ("uniform:0,1e308", "const:1", PSI_I),  # beyond the float range
     ]
     for dist, weight, kind in probes:
@@ -140,7 +149,7 @@ def test_direct_qagse_call_pins_scipy_quad(f):
     ours = _outcome(lambda: integrate_interval(f, 0.0, 1.0))
     theirs = _outcome(
         lambda: quad(
-            _guarded(f, 0.0, 1.0), 0.0, 1.0, epsabs=DEFAULT_ABS_TOL, epsrel=DEFAULT_REL_TOL,
+            _guarded(f, 0.0, 1.0), 0.0, 1.0, epsabs=0.0, epsrel=DEFAULT_REL_TOL,
             limit=DEFAULT_MAX_SUBDIVISIONS, full_output=1,
         )
     )

@@ -65,6 +65,19 @@ def test_uniform_draws_stay_interior():
     assert np.all(s.values > 0.0) and np.all(s.values < 1.0)
 
 
+def test_uniforms_stay_below_one_at_the_largest_integer():
+    class Stub:
+        def integers(self, low, high, size, dtype):
+            return np.array([0, 2**52, 2**53 - 2, 2**53 - 1], dtype=dtype)
+
+    ints = np.array([0, 2**52, 2**53 - 2], dtype=np.uint64)
+    u = _uniforms(Stub(), 4)
+    # every other integer keeps the float of (k + 1/2) 2^-53
+    assert u[:3].tolist() == ((ints.astype(np.float64) + 0.5) * 2.0**-53).tolist()
+    assert u[3] == np.nextafter(1.0, 0.0)
+    assert np.all(np.isfinite(gx.exponential(1.0).quantile(u)))
+
+
 def test_extreme_means(rssu_pools):
     # E[Z_i] = 1/(i+1) and E[Y_i] = i/(i+1) for uniform parents
     z = rssu_pools[gx.MIN_RSSU]

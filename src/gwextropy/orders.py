@@ -216,10 +216,6 @@ def check_order(kind: str, dX: Distribution, dY: Distribution, grid_points: int 
     return OrderVerdict(kind, worst >= -TOLERANCE, used, worst)
 
 
-def _density_near_origin(d: Distribution) -> float:
-    return float(pdf_at_quantile(d, 1e-9))
-
-
 def check_lemma1(dX: Distribution, dY: Distribution) -> Lemma1Report:
     """Check that a shape order plus f(0) >= g(0) > 0 yields the dispersive order.
 
@@ -228,8 +224,8 @@ def check_lemma1(dX: Distribution, dY: Distribution) -> Lemma1Report:
     """
     if dX.support_lower != 0.0 or dY.support_lower != 0.0:
         return Lemma1Report(False, False, {}, None, True)
-    f0 = _density_near_origin(dX)
-    g0 = _density_near_origin(dY)
+    f0 = float(pdf_at_quantile(dX, 1e-9))
+    g0 = float(pdf_at_quantile(dY, 1e-9))
     density_condition = g0 > 0.0 and f0 >= g0 - TOLERANCE
     shape = {
         kind: check_order(kind, dX, dY, _LEMMA1_GRID_POINTS)
@@ -449,38 +445,30 @@ def _monotone_reports(case: TheoremCase, sequences: dict) -> list[TheoremReport]
     ratio_check = _margin_check("w(Q(u))/f(Q(u)) <= 1", ratio_margin, f"grid={_SUITE_GRID_POINTS}")
     n_lo, n_hi = min(case.n_values), max(case.n_values)
     subject = f"X={dX.label}, w={w.label}, n={n_lo}..{n_hi}"
+    sizes = range(n_lo, n_hi + 1) if n_hi > n_lo else ()  # one size measures nothing
     reports = []
     for theorem_id, variant, design in (
         (T6_MIN_MONO, RESIDUAL, MIN_RSSU),
         (T6_MAX_MONO, PAST, MAX_RSSU),
     ):
-        if n_hi == n_lo:
-            reports.append(
-                _finish(theorem_id, subject, [ratio_check], math.inf, "single n; nothing to compare")
-            )
-            continue
-        sequence = _sequence(sequences, dX, w, variant)
-        try:
-            top = sequence.report(MeasureSpec(variant, design, n_hi))
-        except DivergenceError:
-            reports.append(
-                _finish(
-                    theorem_id,
-                    subject,
-                    [ratio_check],
-                    0.0,
-                    "every design size diverges to -inf; equal in the extended reals",
-                )
-            )
-            continue
-        factors = [r.value for r in top.factor_results]
-        measures = {n: sequence.report(MeasureSpec(variant, design, n)).value for n in range(n_lo, n_hi + 1)}
-        margins = []
-        for n in range(n_lo, n_hi):
-            margins.append(measures[n + 1] - measures[n])
-            # Proof-level bound on the step ratio: E[factor_{n+1}] <= 1/(2n+3).
-            margins.append(1.0 / (2.0 * n + 3.0) - factors[n])
-        reports.append(_finish(theorem_id, subject, [ratio_check], min(margins)))
+        chain = [_measure_extended(sequences, dX, w, MeasureSpec(variant, design, n)) for n in sizes]
+        # A factor sequence ends at its first divergent factor, so a chain that
+        # diverges does so from some n on, and a finite step into -inf fails.
+        if not chain:
+            margin, note = math.inf, "single n; nothing to compare"
+        elif chain[0] == -math.inf:
+            margin, note = 0.0, "every design size diverges to -inf; equal in the extended reals"
+        elif chain[-1] == -math.inf:
+            first = n_lo + chain.index(-math.inf)
+            margin, note = -math.inf, f"design sizes n >= {first} diverge to -inf"
+        else:
+            factors = _sequence(sequences, dX, w, variant).results
+            margins = []
+            for n, lo, hi in zip(range(n_lo, n_hi), chain, chain[1:]):
+                # Proof-level bound on the step ratio: E[factor_{n+1}] <= 1/(2n+3).
+                margins += [hi - lo, 1.0 / (2.0 * n + 3.0) - factors[n].value]
+            margin, note = min(margins), ""
+        reports.append(_finish(theorem_id, subject, [ratio_check], margin, note))
     return reports
 
 

@@ -17,6 +17,7 @@ the stream differently, so they match in law, not draw for draw.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -100,7 +101,13 @@ def draw_design(
             levels = np.exp(np.log(u) / i)
         raw = np.asarray(d.quantile(levels), float)
 
-    return Sample(values=np.sort(raw), design=design, n=n, seed=int(seed), raw_order=raw)
+    values = np.sort(raw)
+    # The sort puts -inf first and nan last, so the two ends decide.
+    for end in (values[0], values[-1]):
+        if not math.isfinite(end):
+            name = d.label or d.family_tag
+            raise DomainError(f"{design} draw from {name} gave {float(end)!r}; every draw must be finite")
+    return Sample(values=values, design=design, n=n, seed=int(seed), raw_order=raw)
 
 
 def replicate(

@@ -322,6 +322,28 @@ def test_commands_never_import_the_scipy_subpackages(tmp_path):
         assert set(packages) <= {"scipy", "scipy._lib"}
 
 
+@pytest.mark.parametrize("flags", [["--design", "srs"], ["--design", "minrssu"],
+                                   ["--design", "maxrssu", "--literal-extremes"]])
+@pytest.mark.parametrize(
+    "dist, label",
+    [("uniform:-1e308,1e308", "uniform:-1e+308,1e+308"), ("exp:5e-324", "exp:4.94066e-324"),
+     ("exp:1e-310", "exp:1e-310")],
+)
+def test_simulate_refuses_a_draw_that_is_not_finite(capsys, dist, label, flags):
+    with np.errstate(over="ignore"):
+        assert run_command(["simulate", "--dist", dist, "--n", "3", *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {cli._DESIGNS[flags[1]]} draw from {label} gave inf; every draw must be finite\n"
+
+
+def test_converge_rejects_a_size_that_is_no_integer(capsys):
+    code = run_command(["converge", "--dist", "uniform:0,1", "--variant", "residual", "--sizes", "10,x",
+                        "--seeds", "2"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: bad size 'x'\n"
+
+
 def test_json_numbers_write_nan_as_a_string():
     assert _json_number(math.nan) == "nan"
 

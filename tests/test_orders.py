@@ -1,8 +1,10 @@
 """Stochastic order certificates and the hypothesis-gated theorem suite."""
 
 import dataclasses
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,6 +170,19 @@ def test_default_suite_shape():
     assert not any(r.gated_failure for r in reports)
 
 
+def test_default_suite_report_table():
+    # Everything but the margins: ids, subjects, verdict flags and notes, and
+    # each hypothesis's name, flag and note, in report order.
+    table = json.loads((Path(__file__).parent / "default_suite_table.json").read_text())
+    rows = [
+        [r.theorem_id, r.subject, r.passed, r.inconclusive, r.gated_failure, r.note,
+         [[h.name, h.passed, h.note] for h in r.hypotheses_checked]]
+        for r in run_theorem_suite()
+    ]
+    assert len(rows) == 68
+    assert rows == table
+
+
 def test_dominance_margin_anchor():
     # maxRSSU past vs SRS past at n=2 for the linear weight: (-1/48)-(-1/32)
     reports = run_theorem_suite(
@@ -187,6 +202,26 @@ def test_monotone_reports_uniform():
         report = next(r for r in reports if r.theorem_id == rid)
         assert report.passed
         assert report.conclusion_margin > 0.0
+
+
+def test_a_chain_that_diverges_part_way_fails_at_its_first_divergent_size():
+    # powersurv:5 past maxRSSU is finite at n = 1, but factor 2 does not converge
+    dX, w = gx.power_survival(5.0), gx.power_weight(1.0)
+    spec = measures.MeasureSpec(measures.PAST, measures.MAX_RSSU, 1)
+    assert math.isfinite(measures.measure_report(dX, w, spec).value)
+    reports = run_theorem_suite([TheoremCase(dX=dX, w1=w, n_values=(1, 2, 3))])
+    report = next(r for r in reports if r.theorem_id == "T6.max-mono")
+    assert report.conclusion_margin == -math.inf
+    assert report.note == "design sizes n >= 2 diverge to -inf"
+    assert not report.passed
+
+
+@pytest.mark.parametrize("n_values", [(1, 2, 3), (2, 3)])
+def test_a_chain_that_diverges_throughout_is_equal_in_the_extended_reals(n_values):
+    reports = run_theorem_suite([TheoremCase(dX=EXP1, w1=gx.power_weight(1.0), n_values=n_values)])
+    report = next(r for r in reports if r.theorem_id == "T6.max-mono")
+    assert report.conclusion_margin == 0.0
+    assert report.note == "every design size diverges to -inf; equal in the extended reals"
 
 
 def test_bounded_pair_full_pass():

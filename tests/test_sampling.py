@@ -1,10 +1,14 @@
 """Seeded design sampling: determinism, stream derivation, distributional fidelity."""
 
+import contextlib
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import gwextropy as gx
+from gwextropy.distributions import parse_distribution
 from gwextropy.errors import DomainError
 from gwextropy.sampling import _generator, _uniforms, derive_seed
 
@@ -143,3 +147,23 @@ def test_a_sample_too_large_for_an_array_is_a_domain_error(design, literal):
     message = "sample size 100000000000000000000 is too large: its float64 uniforms exceed numpy's array size limit"
     with pytest.raises(DomainError, match=f"^{message}$"):
         gx.draw_design(gx.uniform(), design, 10**20, 1, literal)
+
+
+@pytest.mark.parametrize("design, literal", [(gx.SRS, False), (gx.MIN_RSSU, False), (gx.MAX_RSSU, True)])
+@pytest.mark.parametrize("spec", ["uniform:-1e308,1e308", "exp:5e-324", "exp:1e-310"])
+def test_a_draw_that_is_not_finite_is_a_domain_error(spec, design, literal):
+    # uniform's width b - a overflows; exp's Q(u) = -log(1-u)/rate does, with numpy's warning
+    d = parse_distribution(spec)
+    expected = contextlib.nullcontext()
+    if spec.startswith("exp:"):
+        expected = pytest.warns(RuntimeWarning, match="overflow")
+    message = f"{design} draw from {d.label} gave inf; every draw must be finite"
+    with expected, pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        gx.draw_design(d, design, 3, 0, literal)
+
+
+def test_a_nan_draw_is_a_domain_error():
+    # nan sorts last, behind any finite draw
+    d = gx.custom(lambda u: np.where(np.asarray(u) < 0.5, u, np.nan), lambda u: np.ones_like(u), 0.0, 1.0, "halfnan")
+    with pytest.raises(DomainError, match=r"^SRS draw from halfnan gave nan; every draw must be finite$"):
+        gx.draw_design(d, gx.SRS, 20, 1)

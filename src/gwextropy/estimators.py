@@ -18,6 +18,7 @@ negative bias vanishes as n grows; ``include_head`` adds the omitted term
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,14 +135,49 @@ def smoothed_cdf(sample, kernel: str, h: float, x):
         raise InsufficientDataError("need at least 1 observation for a smoothed CDF")
     L = _integrated_kernel(kernel)
     x_arr = np.asarray(x, dtype=float)
+    n = data.size
+    # The Epanechnikov L is exactly L(1.0) for t >= 1 and L(-1.0) for t <= -1.
+    # On sorted, finite data those clipped values fill the two ends of a
+    # block's rows, so the kernel runs only on the window between them and
+    # the same np.mean reduces the same row.
+    windowed = (
+        kernel == EPANECHNIKOV
+        and bool(np.all(data[:-1] <= data[1:]))
+        and math.isfinite(data[0])
+        and math.isfinite(data[-1])
+    )
+    above, below = L(np.array([1.0, -1.0])) if windowed else (None, None)
+
+    def window(points):
+        """Data indices [lo, hi) of the kernel values a block must compute."""
+        if points.size == 0:
+            return 0, n
+        first, last = float(points.min()), float(points.max())
+        lo = max(int(np.searchsorted(data, first - h)) - 2, 0)
+        hi = min(int(np.searchsorted(data, last + h)) + 2, n)
+        # Correctly rounded subtraction and division are monotone, so the t
+        # of the nearest data point outside the window bounds every t beyond
+        # it. A block with a nan point fails a check or keeps the whole row.
+        if lo > 0 and not (first - float(data[lo - 1])) / h >= 1.0:
+            return 0, n
+        if hi < n and not (last - float(data[hi])) / h <= -1.0:
+            return 0, n
+        return lo, hi
 
     def row_means(points):
-        return np.mean(L((points[..., np.newaxis] - data) / h), axis=-1)
+        lo, hi = window(points) if windowed else (0, n)
+        if hi - lo == n:
+            return np.mean(L((points[..., np.newaxis] - data) / h), axis=-1)
+        row = np.empty((points.size, n))
+        row[:, :lo] = above
+        row[:, lo:hi] = L((points[..., np.newaxis] - data[lo:hi]) / h)
+        row[:, hi:] = below
+        return np.mean(row, axis=-1)
 
     # Blocks of evaluation points keep memory at O(max(_KERNEL_BLOCK, n)), not
     # O(len(x) * n). Each point's row reduces on its own, so the block size
     # does not change a bit of the result.
-    rows = max(1, _KERNEL_BLOCK // data.size)
+    rows = max(1, _KERNEL_BLOCK // n)
     points = x_arr.ravel()
     blocks = [row_means(points[i : i + rows]) for i in range(0, max(points.size, 1), rows)]
     out = np.concatenate(blocks).reshape(x_arr.shape)
@@ -156,10 +192,16 @@ def bandwidth_silverman(sample) -> float:
     arr = np.asarray(values, dtype=float).ravel()
     if arr.size < 2:
         raise InsufficientDataError(f"need at least 2 observations, got {arr.size}")
-    s = float(np.std(arr, ddof=1))
+    # Squared deviations beyond the float range make s inf (or nan next to an
+    # inf); the check below reports that instead of numpy's warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = float(arr.std(ddof=1))
     if s <= 0.0:
         raise BandwidthError("sample standard deviation is zero; supply a numeric bandwidth")
-    return 1.06 * s * arr.size ** (-0.2)
+    h = 1.06 * s * arr.size ** (-0.2)
+    if not h < math.inf:
+        raise BandwidthError("Silverman's bandwidth is not finite; supply a numeric bandwidth")
+    return h
 
 
 def resolve_bandwidth(sample, cfg: EstimatorConfig) -> float:

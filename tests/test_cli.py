@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -210,6 +211,17 @@ def test_estimate_rejects_infinite_settings_and_power_overflow(tmp_path, capsys,
     path = tmp_path / "obs.csv"
     path.write_text("1\n2\n3\n")
     assert run_command(["estimate", "--input", str(path), "--variant", "past", *flags]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_estimate_blames_an_overflowing_silverman_bandwidth_on_the_rule(tmp_path, capsys):
+    path = tmp_path / "obs.csv"
+    path.write_text("0\n1e200\n2e200\n")
+    argv = ["estimate", "--input", str(path), "--variant", "past", "--m", "0.001", "--style", "kernel"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_command(argv) == 2
+    message = "Silverman's bandwidth is not finite; supply a numeric bandwidth"
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 

@@ -130,13 +130,98 @@ def test_smoothed_cdf_blocks_keep_shape_and_bits(monkeypatch, block):
     # gives the bits of the one dense (points x observations) evaluation
     monkeypatch.setattr("gwextropy.estimators._KERNEL_BLOCK", block)
     values = np.random.default_rng(4).exponential(size=5)
-    for kernel in ("gaussian", "epanechnikov"):
-        L = _integrated_kernel(kernel)
-        for x in (0.7, np.linspace(0.0, 3.0, 12).reshape(3, 4), np.linspace(0.0, 3.0, 13), np.array([])):
-            dense = np.mean(L((np.asarray(x)[..., np.newaxis] - values) / 0.4), axis=-1)
-            out = smoothed_cdf(values, kernel, 0.4, x)
-            assert np.shape(out) == np.shape(x) and np.asarray(out).tobytes() == dense.tobytes()
+    # sorted data take the windowed Epanechnikov path, unsorted data do not
+    for data in (values, np.sort(values)):
+        for kernel in ("gaussian", "epanechnikov"):
+            L = _integrated_kernel(kernel)
+            for x in (0.7, np.linspace(0.0, 3.0, 12).reshape(3, 4), np.linspace(0.0, 3.0, 13), np.array([])):
+                dense = np.mean(L((np.asarray(x)[..., np.newaxis] - data) / 0.4), axis=-1)
+                out = smoothed_cdf(data, kernel, 0.4, x)
+                assert np.shape(out) == np.shape(x) and np.asarray(out).tobytes() == dense.tobytes()
     assert type(smoothed_cdf(values, "gaussian", 0.4, 0.7)) is float
+
+
+def _assert_dense_epanechnikov_bits(data, h, x):
+    # the oracle: every kernel value of every (point, observation) pair
+    L = _integrated_kernel("epanechnikov")
+    dense = np.mean(L((np.asarray(x, dtype=float)[..., np.newaxis] - data) / h), axis=-1)
+    assert np.asarray(smoothed_cdf(data, "epanechnikov", h, x)).tobytes() == dense.tobytes()
+
+
+WINDOW_SAMPLES = {
+    "exp": lambda rng, n: rng.exponential(size=n),
+    "uniform": lambda rng, n: rng.uniform(size=n),
+    "lognormal": lambda rng, n: rng.lognormal(sigma=2.0, size=n),
+    "tied": lambda rng, n: np.round(rng.exponential(size=n), 1),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 1000, 5000])
+@pytest.mark.parametrize("family", sorted(WINDOW_SAMPLES))
+def test_windowed_epanechnikov_keeps_dense_bits_at_midpoints(family, n):
+    data = np.sort(WINDOW_SAMPLES[family](np.random.default_rng(n), n))
+    h = bandwidth_silverman(data) if np.ptp(data) > 0 else 0.5
+    _assert_dense_epanechnikov_bits(data, h, 0.5 * (data[1:] + data[:-1]))
+
+
+def test_windowed_epanechnikov_keeps_dense_bits_at_n_20000():
+    data = np.sort(np.random.default_rng(20).exponential(size=20_000))
+    mid = 0.5 * (data[1:] + data[:-1])
+    # 32 runs of 8 consecutive midpoints, from the first midpoint to the last
+    starts = np.linspace(0, mid.size - 8, 32).astype(int)
+    x = mid[(starts[:, np.newaxis] + np.arange(8)).ravel()]
+    _assert_dense_epanechnikov_bits(data, bandwidth_silverman(data), x)
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 16])
+def test_windowed_epanechnikov_keeps_dense_bits_off_sorted_midpoints(monkeypatch, block):
+    monkeypatch.setattr("gwextropy.estimators._KERNEL_BLOCK", block)
+    rng = np.random.default_rng(5)
+    values = rng.exponential(size=299)
+    data = np.sort(values)
+    h = bandwidth_silverman(data)
+    mid = 0.5 * (data[1:] + data[:-1])
+    points = (
+        rng.permutation(mid),
+        mid[::-1].reshape(2, 149),
+        np.linspace(-3.0, data[-1] + 3.0, 200),  # beyond the data on both sides
+        np.array([0.5, np.nan, 1.0, np.inf, -np.inf, 2.0]),
+        np.array([np.nan]),
+        np.array([np.inf, np.inf]),
+        np.array([-np.inf, -np.inf]),
+        np.array([-np.inf, np.inf]),
+    )
+    for x in points:
+        # unsorted or non-finite data: whole rows (inf - inf is nan there)
+        with np.errstate(invalid="ignore"):
+            for sample in (values, np.append(data, np.inf), np.append(data, np.nan)):
+                _assert_dense_epanechnikov_bits(sample, h, x)
+        # 1e-12 h leaves every window without an observation inside +-h;
+        # 1e12 h makes every window the whole row
+        for width in (h, 1e-12 * h, 1e12 * h):
+            _assert_dense_epanechnikov_bits(data, width, x)
+
+
+def test_windowed_epanechnikov_evaluates_only_the_unclipped_kernel(monkeypatch):
+    evaluated = []
+    L = _integrated_kernel("epanechnikov")
+
+    def counting(t):
+        evaluated.append(np.size(t))
+        return L(t)
+
+    monkeypatch.setattr(estimators, "_integrated_kernel", lambda kernel: counting)
+    data = np.sort(np.random.default_rng(6).exponential(size=1000))
+    mid = 0.5 * (data[1:] + data[:-1])
+    h = bandwidth_silverman(data)
+    dense = mid.size * data.size
+    smoothed_cdf(data, "epanechnikov", h, mid)
+    assert sum(evaluated) < dense / 3
+    # the whole row on unsorted data and for the Gaussian kernel
+    for sample, kernel in ((data[::-1], "epanechnikov"), (data, "gaussian")):
+        evaluated.clear()
+        smoothed_cdf(sample, kernel, h, mid)
+        assert sum(evaluated) == dense
 
 
 def test_gaussian_integrated_kernel_is_scipy_ndtr():
@@ -212,10 +297,21 @@ def test_silverman_rule():
     x = x / np.std(x, ddof=1)  # unit sample deviation
     assert_allclose(bandwidth_silverman(x), 1.06 * 100 ** (-0.2), rtol=1e-12)
     assert_allclose(bandwidth_silverman(2.0 * x), 2.12 * 100 ** (-0.2), rtol=1e-12)
+    for sample in (x, np.array([0.0, 1e150, 2e150])):
+        assert bandwidth_silverman(sample) == 1.06 * float(np.std(sample, ddof=1)) * sample.size ** (-0.2)
     with pytest.raises(BandwidthError):
         bandwidth_silverman(np.full(10, 3.3))
     with pytest.raises(InsufficientDataError):
         bandwidth_silverman(np.array([1.0]))
+
+
+@pytest.mark.parametrize("values", [[0.0, 1e200, 2e200], [-1.7e308, 1.7e308], [0.0, np.inf]])
+def test_silverman_overflow_is_a_bandwidth_error_without_numpy_warnings(values):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = "Silverman's bandwidth is not finite; supply a numeric bandwidth"
+        with pytest.raises(BandwidthError, match=f"^{re.escape(message)}$"):
+            bandwidth_silverman(np.array(values))
 
 
 def test_resolve_bandwidth_paths():
